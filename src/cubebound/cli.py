@@ -363,9 +363,13 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
     table = None
     if args.cache:
         if os.path.exists(args.cache):
-            table = load_root_table(args.cache)
-            if table.limit < job.x_max:
-                table = None
+            try:
+                table = load_root_table(args.cache)
+            except DomainError as exc:
+                print(f"warning: rebuilding root-table cache: {exc}", file=sys.stderr)
+            else:
+                if table.limit < job.x_max:
+                    table = None
         if table is None:
             table = build_root_table(job.x_max)
             save_root_table(args.cache, table)

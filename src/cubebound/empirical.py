@@ -7,16 +7,20 @@ the prime-sum estimate sum_{p<=x} nu(p) log p / p = log x + O(1).
 The factorisation is sieve-driven: for each prime p in the root table with
 roots of n^3+2 == 0 (mod p), the roots' arithmetic progressions are marked
 across segments and p is divided out at the hits; the remaining cofactor has
-at most three prime factors, all above the table limit, and is certified
-prime or split. Segments are independent work units; counting runs can be
-spread over processes and reduced by exact integer sums.
+at most two prime factors, all above the table limit (the limit is at least
+n, and three factors above n would exceed (n+1)^3 > n^3+2), and is certified
+prime or split. Counting decides each n from its sieved count and tests the
+cofactor only when it can change the verdict. Segments are independent work
+units; counting runs can be spread over processes and reduced by exact
+integer sums.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -243,16 +247,25 @@ def build_root_table(limit: int) -> RootTable:
 def save_root_table(path: str, table: RootTable) -> None:
     """Binary cache: 16-byte header (magic, version, prime limit), then per
     prime ascending: p as 8-byte little-endian, root count byte, roots as
-    8-byte little-endian each."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", _CACHE_VERSION))
-        fh.write(struct.pack("<Q", table.limit))
-        for p in sorted(table.roots):
-            roots = table.roots[p]
-            fh.write(struct.pack("<QB", p, len(roots)))
-            for r in roots:
-                fh.write(struct.pack("<Q", r))
+    8-byte little-endian each.
+
+    The file is written beside path and then renamed over it, so an
+    interrupted run never leaves a truncated cache behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<I", _CACHE_VERSION))
+            fh.write(struct.pack("<Q", table.limit))
+            for p in sorted(table.roots):
+                roots = table.roots[p]
+                fh.write(struct.pack("<QB", p, len(roots)))
+                for r in roots:
+                    fh.write(struct.pack("<Q", r))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_root_table(path: str) -> RootTable:
@@ -283,6 +296,10 @@ def load_root_table(path: str) -> RootTable:
                 raise DomainError(f"{path}: invalid root {r} for p={p}")
         roots[p] = tuple(rs)
         prev = p
+    # the table holds every prime up to limit, so a cut between entries
+    # shows as a prime above the last one
+    if any(_trial_factor(q) == {q: 1} for q in range(prev + 1, limit + 1)):
+        raise DomainError(f"{path}: truncated after p={prev}")
     return RootTable(limit, roots)
 
 
@@ -490,18 +507,20 @@ def factor_range(
             progress(lo, hi)
 
 
-def _rough_omega(m: int, floor: int, n: int) -> int:
-    """Number of prime factors of m with multiplicity, given that every prime
-    factor exceeds floor. Below floor^2 the cofactor must be prime; a
-    composite one below floor^3 has exactly two factors; only the rare rest
-    needs an actual split."""
-    if m <= floor * floor:
-        return 1
-    if is_certified_prime(m):
-        return 1
-    if m <= floor * floor * floor:
-        return 2
-    return sum(_factor_cofactor(m, n, floor).values())
+def _residual_reaches(m: int, need: int, n: int, threshold: int, limit: int) -> bool:
+    """Whether the residual m > 1 of n^3 + 2 has at least need (1 or 2) prime
+    factors >= threshold, with multiplicity.
+
+    Every prime up to limit >= n has been stripped, so m is a prime or a
+    product of two primes, all above limit. When the threshold is at most
+    limit + 1 every one of them counts: one is always there, and a second
+    exactly when m is composite (m <= limit^2 is prime outright). Otherwise
+    m is split.
+    """
+    if threshold > limit + 1:
+        found = _factor_cofactor(m, n, limit)
+        return sum(e for p, e in found.items() if p >= threshold) >= need
+    return need == 1 or (m > limit * limit and not is_certified_prime(m))
 
 
 def _count_range(
@@ -513,33 +532,24 @@ def _count_range(
         raise DomainError(
             f"root table covers primes to {table.limit}, need {job.x_max}"
         )
-    # when the threshold is within the sieved limit, every residual factor
-    # (all above the limit) counts, so only the factor count of the residual
-    # matters and most splits are avoided
-    count_whole_residual = job.threshold <= table.limit + 1
+    # the residual adds at most two factors, so it is looked at only when the
+    # sieved count om is h-1 or h-2
+    h = job.h
     count = 0
     for lo, hi, residual, found in _sieved_segments(job, table):
         for idx in range(hi - lo + 1):
             om = sum(e for p, e in found[idx].items() if p >= job.threshold)
-            m = residual[idx]
-            if m > 1:
-                if count_whole_residual:
-                    om += _rough_omega(m, table.limit, lo + idx)
-                else:
-                    om += sum(
-                        e
-                        for p, e in _factor_cofactor(m, lo + idx, table.limit).items()
-                        if p >= job.threshold
-                    )
-            if om >= job.h:
+            if om >= h or (
+                om + 2 >= h
+                and residual[idx] > 1
+                and _residual_reaches(
+                    residual[idx], h - om, lo + idx, job.threshold, table.limit
+                )
+            ):
                 count += 1
         if progress is not None:
             progress(lo, hi)
     return count
-
-
-def _count_chunk(args: tuple[RangeJob, RootTable]) -> int:
-    return _count_range(*args)
 
 
 def empirical_T(
@@ -552,8 +562,9 @@ def empirical_T(
     factors >= threshold (with multiplicity).
 
     With jobs > 1 the range is split into contiguous chunks counted in
-    separate processes; the reduction is an order-independent integer sum
-    (progress callbacks only fire in the single-process path).
+    separate processes; the reduction is an order-independent integer sum,
+    and progress(lo, hi) fires once per chunk as it completes, rather than
+    once per segment.
     """
     if table is None:
         table = build_root_table(job.x_max)
@@ -561,14 +572,19 @@ def empirical_T(
     if jobs <= 1 or span < 2:
         return _count_range(job, table, progress)
     per = (span + jobs - 1) // jobs
-    chunks = []
-    lo = job.x_min
-    while lo < job.x_max:
-        hi = min(lo + per, job.x_max)
-        chunks.append((replace(job, x_min=lo, x_max=hi), table))
-        lo = hi
+    chunks = [
+        replace(job, x_min=lo, x_max=min(lo + per, job.x_max))
+        for lo in range(job.x_min, job.x_max, per)
+    ]
+    count = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_chunk, chunks))
+        pending = {pool.submit(_count_range, chunk, table): chunk for chunk in chunks}
+        for done in as_completed(pending):
+            count += done.result()
+            if progress is not None:
+                chunk = pending[done]
+                progress(chunk.x_min + 1, chunk.x_max)
+    return count
 
 
 # ---------------------------------------------------------------------------

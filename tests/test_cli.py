@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cubebound import DomainError, build_root_table, load_root_table
 from cubebound.cli import main
 
 
@@ -121,6 +122,23 @@ def test_empirical_count_cli(capsys, tmp_path):
     code, out2, _ = run_cli(capsys, *args)
     assert code == 0
     assert out2 == out
+
+
+def test_empirical_count_rebuilds_unreadable_cache(capsys, tmp_path):
+    cache = tmp_path / "roots.bin"
+    args = [
+        "empirical", "count", "--x-min", "10", "--x-max", "20",
+        "--threshold", "2", "--h", "3", "--cache", str(cache), "--timestamp", "T",
+    ]
+    _, out, _ = run_cli(capsys, *args)
+    cache.write_bytes(cache.read_bytes()[:-5])
+    with pytest.raises(DomainError):
+        load_root_table(str(cache))
+    code, out2, err = run_cli(capsys, *args)
+    assert code == 0
+    assert out2 == out
+    assert len([line for line in err.splitlines() if "warning" in line]) == 1
+    assert load_root_table(str(cache)) == build_root_table(20)
 
 
 def test_empirical_mertens_cli(capsys):

@@ -1,11 +1,14 @@
 import math
+import os
 import random
+import struct
 
 import pytest
 
 from cubebound import (
     DomainError,
     RangeJob,
+    RootTable,
     build_root_table,
     count_cubic_roots,
     cube_roots_of_minus2,
@@ -20,6 +23,7 @@ from cubebound import (
     roots_mod_prime_power,
     save_root_table,
 )
+from cubebound import empirical
 from cubebound.empirical import is_certified_prime, sieve_primes
 
 from oracles import cubic_roots_enumerate, nu_enumerate, trial_factor
@@ -182,6 +186,92 @@ def test_parallel_count_matches_serial():
     assert empirical_T(job, table, jobs=2) == empirical_T(job, table, jobs=1)
 
 
+def test_parallel_progress_tiles_the_range():
+    seen = []
+    job = RangeJob(x_min=1000, x_max=4001, threshold=17, h=2, segment_size=512)
+    table = build_root_table(4001)
+    got = empirical_T(job, table, jobs=2, progress=lambda lo, hi: seen.append((lo, hi)))
+    assert got == empirical_T(job, table)
+    seen.sort()
+    assert len(seen) == 2
+    assert seen[0][0] == 1001 and seen[-1][1] == 4001
+    assert all(a[1] + 1 == b[0] for a, b in zip(seen, seen[1:]))
+
+
+# exact factorisations of n^3+2 over two windows: trial division on the
+# small one, the profile path on the larger one
+_WINDOWS = {(0, 300): "trial", (2000, 3000): "profiles"}
+
+
+@pytest.fixture(scope="module")
+def exact_factors():
+    out = {}
+    for (x_min, x_max), oracle in _WINDOWS.items():
+        if oracle == "trial":
+            out[x_min, x_max] = {n: trial_factor(n**3 + 2) for n in range(x_min + 1, x_max + 1)}
+        else:
+            job = RangeJob(x_min=x_min, x_max=x_max, threshold=2, h=0)
+            out[x_min, x_max] = {p.n: dict(p.factors) for p in factor_range(job)}
+    return out
+
+
+def _sieved_view(factors, limit, threshold):
+    """What sieving with primes up to limit leaves of one exact factorisation:
+    (prime factors >= threshold among the stripped ones, residual, number of
+    prime factors of the residual), counted with multiplicity."""
+    om = sum(e for p, e in factors.items() if threshold <= p <= limit)
+    residual = math.prod(p**e for p, e in factors.items() if p > limit)
+    return om, residual, sum(e for p, e in factors.items() if p > limit)
+
+
+_TABLE_CASES = [
+    pytest.param(window, limit, id=f"{window[0]}-{window[1]}-limit{limit}")
+    for window in _WINDOWS
+    for limit in (window[1], 3 * window[1])  # exactly x_max, and oversized
+]
+
+
+@pytest.mark.parametrize("window, limit", _TABLE_CASES)
+def test_counting_decision_matches_exact_factorisation(exact_factors, window, limit):
+    factors = exact_factors[window]
+    table = build_root_table(limit)
+    assert table.limit == limit
+    for threshold in (2, 32, limit + 1, limit + 2):
+        for h in range(8):
+            job = RangeJob(x_min=window[0], x_max=window[1], threshold=threshold, h=h)
+            want = sum(
+                1 for f in factors.values()
+                if sum(e for p, e in f.items() if p >= threshold) >= h
+            )
+            assert empirical_T(job, table) == want, (threshold, h)
+    # the one case that needs a primality test occurs: a residual with two
+    # prime factors (its sieved count om then needs h = om + 2 <= 7)
+    composite = [
+        om for om, _, big in (_sieved_view(f, limit, 32) for f in factors.values())
+        if big == 2
+    ]
+    assert composite and min(composite) <= 5
+
+
+@pytest.mark.parametrize("window, limit", _TABLE_CASES)
+def test_primality_tested_only_when_it_decides(exact_factors, window, limit, monkeypatch):
+    table = build_root_table(limit)
+    tested = []
+    real = empirical.is_certified_prime
+    monkeypatch.setattr(empirical, "is_certified_prime", lambda m: tested.append(m) or real(m))
+    reached = False
+    for threshold in (2, 32, limit + 1):
+        views = [_sieved_view(f, limit, threshold) for f in exact_factors[window].values()]
+        for h in range(8):
+            tested.clear()
+            empirical_T(RangeJob(window[0], window[1], threshold=threshold, h=h), table)
+            allowed = {m for om, m, _ in views if om == h - 2}
+            assert set(tested) <= allowed, (threshold, h)
+            assert all(m > limit * limit for m in tested)  # smaller ones are prime
+            reached = reached or bool(tested)
+    assert reached
+
+
 def test_segment_independence():
     table = build_root_table(2000)
     runs = []
@@ -251,6 +341,26 @@ def test_root_table_cache_rejects_garbage(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(DomainError):
         load_root_table(str(truncated))
+
+
+def test_root_table_cache_rejects_a_cut_between_entries(tmp_path):
+    table = build_root_table(100)
+    path = tmp_path / "roots.bin"
+    save_root_table(str(path), table)
+    last_entry = 9 + 8 * len(table.roots[97])
+    path.write_bytes(path.read_bytes()[:-last_entry])
+    with pytest.raises(DomainError):
+        load_root_table(str(path))
+
+
+def test_failed_save_keeps_the_old_cache(tmp_path):
+    path = tmp_path / "roots.bin"
+    save_root_table(str(path), build_root_table(100))
+    before = path.read_bytes()
+    with pytest.raises(struct.error):
+        save_root_table(str(path), RootTable(200, {2: (0,), 3: (-1,)}))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["roots.bin"]
 
 
 # ---------------------------------------------------------------------------
