@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bounds import TiltChoice, as_fraction, first_bound, second_bound_detail
+from .bounds import TiltChoice, checked_delta, first_bound, second_bound_detail
 from .errors import DomainError
 from .lognum import (
     ZERO,
@@ -53,9 +53,7 @@ class AggregateConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if not (0 < self.delta < 1):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
+        object.__setattr__(self, "delta", checked_delta(self.delta))
         if self.H < 1:
             raise DomainError(f"H must be at least 1, got {self.H}")
         if not (self.H < self.split_h <= self.h_max + 1):

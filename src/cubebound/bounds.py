@@ -8,10 +8,13 @@ and relaxes the size region to a box, giving
 
 The tilted refinement keeps k in [[h/3], K] primes and, for k < K, penalises
 the region where the kept primes must multiply up to nearly the full range by
-weighting the integrand with exp(alpha*(s_1+...+s_k - lower)), which turns
-each k-term into
+weighting the integrand with exp(alpha*(s_1+...+s_k - L)), L = (h-k-3)/(h-k-1),
+which turns each k-term into
 
-    exp(-alpha*(h-k-3)/(h-k-1)) / k! * (int_delta^s_max exp(alpha*s)/s ds)^k.
+    exp(-alpha*L) / k! * I(alpha)^k,   I(alpha) = int_delta^s_max exp(alpha*s)/s ds.
+
+Every alpha >= 0 gives a valid bound, so the tilt decides only sharpness;
+optimize_alpha picks it from the convexity of the log k-term in alpha.
 
 A Monte Carlo estimator of the exact (unrelaxed) region integrals is provided
 as an oracle for small k.
@@ -25,28 +28,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .lognum import ZERO, LogNumber, ln_sum
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, exp_integral
 
-# coarse geometric tilt grid; refined by golden section around the best point
-ALPHA_GRID = (0.0,) + tuple(2.0**j for j in range(-2, 15))
+# relative change of alpha below which the tilt search stops
+_ALPHA_RTOL = 1e-9
+_MAX_STEPS = 100
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-def as_fraction(delta) -> Fraction:
-    """Coerce delta to an exact rational; floats are rejected on purpose."""
-    if isinstance(delta, Fraction):
-        return delta
+def checked_delta(delta, h: int = 3, degree: int = 3) -> Fraction:
+    """delta as an exact rational after the checks every entry point shares:
+    h >= 3, 0 < delta < 1 and degree >= 2. Floats are rejected on purpose."""
     if isinstance(delta, float):
         raise DomainError("delta must be an exact rational (e.g. Fraction(1, 321)), not a float")
-    return Fraction(delta)
-
-
-def _check_delta(delta: Fraction) -> None:
+    delta = Fraction(delta)
+    if h < 3:
+        raise DomainError(f"h must be at least 3, got {h}")
     if not (0 < delta < 1):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    if degree < 2:
+        raise DomainError(f"degree must be at least 2, got {degree}")
+    return delta
 
 
 def s_max_exact(h: int, delta: Fraction, degree: int, k: int) -> Fraction:
@@ -65,12 +68,7 @@ class BoundParams:
     k: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if self.h < 3:
-            raise DomainError(f"h must be at least 3, got {self.h}")
-        _check_delta(self.delta)
-        if self.degree < 2:
-            raise DomainError(f"degree must be at least 2, got {self.degree}")
+        object.__setattr__(self, "delta", checked_delta(self.delta, self.h, self.degree))
         if not (self.h // self.degree <= self.k <= self.h - 1):
             raise DomainError(
                 f"k must lie in [{self.h // self.degree}, {self.h - 1}], got {self.k}"
@@ -87,7 +85,8 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class TiltChoice:
-    """Optimised tilt for one k-term and the resulting term value."""
+    """Tilt for one k-term, the resulting term value, and the exp_integral
+    calls spent choosing it."""
 
     k: int
     alpha: float
@@ -115,16 +114,27 @@ def first_bound(h: int, delta, degree: int = 3) -> LogNumber:
     Zero (empty region) once h*delta >= degree; for degree 3 and
     delta = 1/321 that is every h >= 963.
     """
-    delta = as_fraction(delta)
-    if h < 3:
-        raise DomainError(f"h must be at least 3, got {h}")
-    _check_delta(delta)
-    if degree < 2:
-        raise DomainError(f"degree must be at least 2, got {degree}")
+    delta = checked_delta(delta, h, degree)
     k = h // degree
     if k < 1:
         raise DomainError(f"h={h} below degree={degree} leaves no primes to keep")
     return _closed_form(h, delta, degree, k)
+
+
+def _lower(p: BoundParams) -> float:
+    """Lower constraint L = (h-k-3)/(h-k-1) of a tilted term, after checking
+    that p admits one (degree 3 and k <= h-2; the K boundary term uses the
+    closed form instead)."""
+    if p.degree != 3:
+        raise DomainError("tilted terms are defined for degree 3 only")
+    if p.k > p.h - 2:
+        raise DomainError(f"tilted term needs k <= h-2, got k={p.k}, h={p.h}")
+    return (p.h - p.k - 3) / (p.h - p.k - 1)
+
+
+def _log_term(k: int, lower: float, alpha: float, integral: float) -> float:
+    """f(alpha) = -alpha*L - ln k! + k*ln I(alpha)."""
+    return -alpha * lower - math.lgamma(k + 1) + k * math.log(integral)
 
 
 def second_bound_term(
@@ -133,69 +143,67 @@ def second_bound_term(
     """One tilted k-term: exp(-alpha*(h-k-3)/(h-k-1))/k! * I(alpha)^k with
     I(alpha) = int_delta^s_max exp(alpha*s)/s ds.
 
-    Valid for k <= h-2 (the K boundary term uses the closed form instead).
-    An empty region yields zero, not an error.
+    Valid for k <= h-2. An empty region yields zero, not an error.
     """
     if alpha < 0.0:
         raise DomainError(f"alpha must be non-negative, got {alpha!r}")
-    if p.degree != 3:
-        raise DomainError("tilted terms are defined for degree 3 only")
-    if p.k > p.h - 2:
-        raise DomainError(f"tilted term needs k <= h-2, got k={p.k}, h={p.h}")
-    smax = p.s_max
-    if smax <= p.delta:
+    lower = _lower(p)
+    if p.is_empty():
         return ZERO
-    integral = exp_integral(alpha, float(p.delta), float(smax), spec)
-    lower = (p.h - p.k - 3) / (p.h - p.k - 1)
-    return LogNumber(
-        1, -alpha * lower - math.lgamma(p.k + 1) + p.k * math.log(integral)
-    )
+    integral = exp_integral(alpha, float(p.delta), float(p.s_max), spec)
+    return LogNumber(1, _log_term(p.k, lower, alpha, integral))
+
+
+def _tilted_moments(alpha: float, a: float, b: float, integral: float) -> tuple[float, float]:
+    """Mean I'/I and variance I''/I - (I'/I)^2 of s under exp(alpha*s) ds/s
+    on [a, b], given I = integral. The variance loses digits when alpha*b is
+    small; callers only use it to propose a bracketed step."""
+    if alpha == 0.0:
+        d1, d2 = b - a, 0.5 * (b * b - a * a)
+    else:
+        d1 = math.exp(alpha * a) * math.expm1(alpha * (b - a)) / alpha
+        d2 = (math.exp(alpha * b) * (alpha * b - 1.0)
+              - math.exp(alpha * a) * (alpha * a - 1.0)) / (alpha * alpha)
+    mean = d1 / integral
+    return mean, d2 / integral - mean * mean
 
 
 def optimize_alpha(p: BoundParams, spec: QuadratureSpec = DEFAULT_SPEC) -> TiltChoice:
-    """Minimise the tilted k-term over alpha >= 0.
+    """Minimise the tilted k-term over 0 <= alpha < 700/s_max (the cap keeps
+    the quadrature precondition alpha*s_max <= 700).
 
-    Coarse geometric grid first (the objective is not assumed unimodal), then
-    golden-section refinement on the bracket around the best grid point. The
-    grid is capped at 700/s_max so the quadrature precondition always holds.
-    alpha = 0 is always evaluated, so the result never exceeds the untilted
-    term.
+    f is convex with f'(alpha) = -L + k*I'/I, so alpha* = 0 when f'(0) >= 0
+    and is otherwise the root of f'. The search starts from alpha = 0, where
+    I = ln(s_max/delta) is exact and needs no quadrature. It keeps a bracket
+    on the sign of f', takes Newton steps on f' and bisects whenever a step
+    leaves the bracket or f'' <= 0. It stops once the Newton correction or
+    the step taken moves alpha by less than _ALPHA_RTOL relative. The best
+    evaluated point is returned, so the result never exceeds the untilted
+    term. evaluations counts exp_integral calls. Raises PrecisionError when
+    the steps do not settle within _MAX_STEPS.
     """
+    lower = _lower(p)
     if p.is_empty():
         return TiltChoice(k=p.k, alpha=0.0, term_value=ZERO, evaluations=0)
-    cap = 700.0 / float(p.s_max)
-    grid = [a for a in ALPHA_GRID if a <= cap]
-    evals = 0
-
-    def f(alpha: float) -> float:
-        nonlocal evals
-        evals += 1
-        return second_bound_term(p, alpha, spec).log_mag
-
-    values = [f(a) for a in grid]
-    best = min(range(len(grid)), key=lambda i: values[i])
-    best_a, best_v = grid[best], values[best]
-
-    lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
-    if hi > lo:
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
-        f1, f2 = f(x1), f(x2)
-        while hi - lo > 1e-7 * max(1.0, hi):
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _INVPHI * (hi - lo)
-                f1 = f(x1)
-                if f1 < best_v:
-                    best_a, best_v = x1, f1
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _INVPHI * (hi - lo)
-                f2 = f(x2)
-                if f2 < best_v:
-                    best_a, best_v = x2, f2
-    return TiltChoice(k=p.k, alpha=best_a, term_value=LogNumber(1, best_v), evaluations=evals)
+    a, b, k = float(p.delta), float(p.s_max), p.k
+    alpha, integral = 0.0, _log_ratio(p.s_max, p.delta)
+    best_a, best_v = alpha, _log_term(k, lower, alpha, integral)
+    lo, hi = 0.0, 700.0 / b
+    for evals in range(_MAX_STEPS):
+        mean, var = _tilted_moments(alpha, a, b, integral)
+        slope = k * mean - lower
+        lo, hi = (lo, alpha) if slope >= 0.0 else (alpha, hi)
+        newton = alpha - slope / (k * var) if var > 0.0 else math.nan
+        step = newton if lo < newton < hi else 0.5 * (lo + hi)
+        tol = _ALPHA_RTOL * alpha
+        if abs(newton - alpha) <= tol or abs(step - alpha) <= tol:
+            return TiltChoice(k, best_a, LogNumber(1, best_v), evaluations=evals)
+        alpha = step
+        integral = exp_integral(alpha, a, b, spec)
+        value = _log_term(k, lower, alpha, integral)
+        if value < best_v:
+            best_a, best_v = alpha, value
+    raise PrecisionError(f"tilt search for h={p.h}, k={k} did not settle in {_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -210,20 +218,24 @@ class SecondBoundDetail:
 
 
 def second_bound_detail(
-    h: int, delta, K: int, spec: QuadratureSpec = DEFAULT_SPEC
+    h: int, delta, K: int, spec: QuadratureSpec = DEFAULT_SPEC, alpha: float | None = None
 ) -> SecondBoundDetail:
-    """Sum of optimised tilted terms for k in [[h/3], K-1] plus the closed-form
-    K-term. With K = [h/3] the sum is empty and this reduces to first_bound."""
-    delta = as_fraction(delta)
-    if h < 3:
-        raise DomainError(f"h must be at least 3, got {h}")
-    _check_delta(delta)
+    """Sum of tilted terms for k in [[h/3], K-1] plus the closed-form K-term.
+
+    Each tilt is optimised, or with alpha given every k-term is evaluated at
+    that fixed tilt (one quadrature each). With K = [h/3] the sum is empty and
+    this reduces to first_bound.
+    """
+    delta = checked_delta(delta, h)
     k0 = h // 3
     if not (k0 <= K <= h - 1):
         raise DomainError(f"K must lie in [{k0}, {h - 1}], got {K}")
-    choices = tuple(
-        optimize_alpha(BoundParams(h, delta, 3, k), spec) for k in range(k0, K)
-    )
+    params = [BoundParams(h, delta, 3, k) for k in range(k0, K)]
+    if alpha is None:
+        choices = tuple(optimize_alpha(p, spec) for p in params)
+    else:
+        choices = tuple(TiltChoice(p.k, alpha, second_bound_term(p, alpha, spec), 1)
+                        for p in params)
     boundary = _closed_form(h, delta, 3, K)
     total = ln_sum([c.term_value for c in choices] + [boundary])
     return SecondBoundDetail(

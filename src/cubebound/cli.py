@@ -31,14 +31,7 @@ from .aggregate import (
     display_round,
     final_constants,
 )
-from .bounds import (
-    BoundParams,
-    _closed_form,
-    as_fraction,
-    first_bound,
-    second_bound_detail,
-    second_bound_term,
-)
+from .bounds import first_bound, second_bound_detail
 from .empirical import (
     RangeJob,
     build_root_table,
@@ -50,7 +43,7 @@ from .empirical import (
     save_root_table,
 )
 from .errors import DomainError, FactorizationError, PrecisionError
-from .lognum import LogNumber, from_real, ln_add, ln_mul, ln_sum
+from .lognum import LogNumber, from_real, ln_add, ln_mul
 from .quadrature import QuadratureSpec
 
 _LN2 = math.log(2.0)
@@ -188,32 +181,18 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
             "rel_tol": args.rel_tol, "max_depth": args.max_depth,
         }
         K = min(args.h // 3 + args.K_offset, args.h - 1)
-        if args.alpha is None:
-            detail = second_bound_detail(args.h, args.delta, K, spec)
-            per_k = [
-                {
-                    "k": c.k, "alpha": c.alpha, "evaluations": c.evaluations,
-                    "term": _lognum_doc(c.term_value),
-                }
-                for c in detail.tilt_choices
-            ]
-            total, boundary = detail.total, detail.boundary_term
-        else:
-            delta = as_fraction(args.delta)
-            terms = [
-                second_bound_term(BoundParams(args.h, delta, 3, k), args.alpha, spec)
-                for k in range(args.h // 3, K)
-            ]
-            boundary = _closed_form(args.h, delta, 3, K)
-            total = ln_sum(terms + [boundary])
-            per_k = [
-                {"k": k, "alpha": args.alpha, "evaluations": 1, "term": _lognum_doc(t)}
-                for k, t in zip(range(args.h // 3, K), terms)
-            ]
+        detail = second_bound_detail(args.h, args.delta, K, spec, args.alpha)
+        per_k = [
+            {
+                "k": c.k, "alpha": c.alpha, "evaluations": c.evaluations,
+                "term": _lognum_doc(c.term_value),
+            }
+            for c in detail.tilt_choices
+        ]
         result = {
             "h": args.h, "delta": str(args.delta), "K": K,
-            "coefficient": _lognum_doc(total),
-            "boundary_term": _lognum_doc(boundary),
+            "coefficient": _lognum_doc(detail.total),
+            "boundary_term": _lognum_doc(detail.boundary_term),
             "per_k": per_k,
         }
     manifest = _manifest(f"bound {args.variant}", params, args.timestamp)

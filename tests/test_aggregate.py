@@ -109,10 +109,19 @@ def test_second_method_at_small_h_clamps_K():
 
 def test_jobs_parallel_matches_serial():
     cfg = AggregateConfig()
-    serial, terms1 = weighted_tail(cfg, 200, 230, "first", jobs=1)
-    parallel, terms2 = weighted_tail(cfg, 200, 230, "first", jobs=2)
-    assert serial == parallel
-    assert terms1 == terms2
+    for h_from, h_to, method in ((200, 230, "first"), (133, 189, "second")):
+        serial, terms1 = weighted_tail(cfg, h_from, h_to, method, jobs=1)
+        parallel, terms2 = weighted_tail(cfg, h_from, h_to, method, jobs=2)
+        assert serial == parallel
+        assert terms1 == terms2  # term by term, every TiltChoice included
+    assert all(t.tilt_choices for t in terms1)
+
+
+def test_tilt_search_work_budget(default_report):
+    # exp_integral calls per optimised k-term, independent of the machine
+    choices = default_report.tilt_choices
+    assert len(choices) == 1140
+    assert sum(c.evaluations for c in choices) <= 10 * len(choices)
 
 
 def test_final_constants_fields(default_report):

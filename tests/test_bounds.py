@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cubebound import (
+    AggregateConfig,
     BoundParams,
     DomainError,
+    PrecisionError,
     QuadratureSpec,
     ZERO,
     first_bound,
@@ -15,6 +17,7 @@ from cubebound import (
     second_bound_detail,
     second_bound_term,
 )
+from cubebound import bounds
 
 from oracles import exp_integral_oracle
 
@@ -164,6 +167,68 @@ def test_tilt_choice_recomputable():
         assert again.log_mag == pytest.approx(choice.term_value.log_mag, abs=1e-9)
 
 
+def _oracle_slope(p, alpha):
+    """f'(alpha) = -L + k*I'/I of the log k-term, with I from the Ei series
+    and I' = int exp(alpha*s) ds in closed form."""
+    a, b, k = float(p.delta), float(p.s_max), p.k
+    if alpha == 0.0:
+        d1 = b - a
+    else:
+        d1 = math.exp(alpha * a) * math.expm1(alpha * (b - a)) / alpha
+    return -(p.h - k - 3) / (p.h - k - 1) + k * d1 / exp_integral_oracle(alpha, a, b)
+
+
+def test_optimizer_first_order_optimality_against_oracle():
+    # the objective is convex: alpha* = 0 exactly when f'(0) >= 0, otherwise
+    # f' changes sign across alpha*
+    kinds = {"zero": 0, "root": 0}
+    for delta, hs in ((D10, (6, 9, 14, 20, 26)), (Fraction(1, 20), (9, 21, 33, 45, 56)),
+                      (D321, (12, 40, 133, 161, 189, 400, 690))):
+        for h in hs:
+            for k in {h // 3, h // 3 + 3, (h // 3 + h - 2) // 2, h - 4, h - 3, h - 2}:
+                if not h // 3 <= k <= h - 2:
+                    continue
+                p = BoundParams(h, delta, 3, k)
+                if p.is_empty():
+                    continue
+                choice = optimize_alpha(p)
+                if _oracle_slope(p, 0.0) >= 0.0:
+                    assert choice.alpha == 0.0, (delta, h, k)
+                    assert choice.evaluations == 0
+                    kinds["zero"] += 1
+                else:
+                    below = _oracle_slope(p, choice.alpha * (1 - 1e-6))
+                    above = _oracle_slope(p, choice.alpha * (1 + 1e-6))
+                    assert below < 0.0 < above, (delta, h, k, choice.alpha)
+                    kinds["root"] += 1
+    assert kinds["zero"] >= 40 and kinds["root"] >= 15
+
+
+def test_bracket_guards_a_wrong_curvature(monkeypatch):
+    # f'' only proposes Newton steps: far too small (steps overshoot) or of
+    # the wrong sign (no Newton step, bisection only), the bracket on the sign
+    # of f' still finds the same tilt
+    p = BoundParams(133, D321, 3, 44)
+    want = optimize_alpha(p)
+    moments = bounds._tilted_moments
+    for scale in (1e-6, -1.0):
+        def skewed(*args, scale=scale):
+            mean, var = moments(*args)
+            return mean, scale * var
+
+        monkeypatch.setattr(bounds, "_tilted_moments", skewed)
+        got = optimize_alpha(p)
+        assert got.evaluations > want.evaluations
+        assert got.alpha == pytest.approx(want.alpha, rel=1e-6)
+        assert got.term_value.log_mag == pytest.approx(want.term_value.log_mag, abs=1e-12)
+
+
+def test_unsettled_tilt_search_raises(monkeypatch):
+    monkeypatch.setattr(bounds, "_MAX_STEPS", 2)
+    with pytest.raises(PrecisionError):
+        optimize_alpha(BoundParams(133, D321, 3, 44))
+
+
 # ---------------------------------------------------------------------------
 # second_bound
 # ---------------------------------------------------------------------------
@@ -186,6 +251,36 @@ def test_second_bound_detail_structure():
     assert detail.K == 15
     assert [c.k for c in detail.tilt_choices] == list(range(10, 15))
     assert detail.boundary_term.sign == 1
+
+
+def test_second_bound_detail_fixed_alpha():
+    fixed = second_bound_detail(40, D321, 33, alpha=5.0)
+    optimised = second_bound_detail(40, D321, 33)
+    assert [c.k for c in fixed.tilt_choices] == list(range(13, 33))
+    for c in fixed.tilt_choices:
+        assert (c.alpha, c.evaluations) == (5.0, 1)
+        assert c.term_value == second_bound_term(BoundParams(40, D321, 3, c.k), 5.0)
+    assert fixed.boundary_term == optimised.boundary_term
+    assert optimised.total < fixed.total
+
+
+def test_parameter_checks_are_shared():
+    # one validation helper behind every entry point, with the same messages
+    for make in (
+        lambda h, d: first_bound(h, d),
+        lambda h, d: BoundParams(h, d, 3, 1),
+        lambda h, d: second_bound_detail(h, d, 1),
+    ):
+        with pytest.raises(DomainError, match="h must be at least 3"):
+            make(2, D321)
+        with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
+            make(5, Fraction(3, 2))
+        with pytest.raises(DomainError, match="exact rational"):
+            make(5, 0.1)
+    with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
+        AggregateConfig(delta=Fraction(3, 2))
+    with pytest.raises(DomainError, match="degree must be at least 2"):
+        BoundParams(5, D321, 1, 4)
 
 
 def test_second_bound_validation():
