@@ -131,7 +131,8 @@ def _entry_args(args: tuple[AggregateConfig, int, str]) -> PerHTerm:
 def _compute_terms(
     cfg: AggregateConfig, hs: Sequence[int], method: str, jobs: int
 ) -> list[PerHTerm]:
-    if jobs <= 1 or len(hs) < 4:
+    # closed-form terms cost less than starting a pool, so only tilted ones fan out
+    if jobs <= 1 or len(hs) < 4 or method == "first":
         return [_per_h_entry(cfg, h, method) for h in hs]
     work = [(cfg, h, method) for h in hs]
     chunk = max(1, len(work) // (4 * jobs))

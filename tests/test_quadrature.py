@@ -1,9 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from cubebound import DomainError, PrecisionError, QuadratureSpec, exp_integral
+from cubebound import (
+    AggregateConfig,
+    DomainError,
+    PrecisionError,
+    QuadratureSpec,
+    bounds,
+    exp_integral,
+    final_constants,
+    quadrature,
+)
 
 from oracles import ei_series, exp_integral_oracle
 
@@ -61,13 +71,63 @@ def test_domain_errors():
         exp_integral(-1.0, 1.0, 2.0)
     with pytest.raises(DomainError):
         exp_integral(800.0, 0.5, 1.0)  # alpha*b beyond 700
+    for args in ((math.nan, 1.0, 2.0), (1.0, math.nan, 2.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(DomainError):
+            exp_integral(*args)
 
 
-def test_precision_error_when_depth_exhausted():
-    # resolving 1/s across 30 decades needs far more than 2^10 subdivision
-    spec = QuadratureSpec(rel_tol=1e-13, max_depth=10)
+def test_precision_error_when_rel_tol_below_certified_bound():
+    # at alpha*b = 700 the series adds about 1400 terms and the rounding part
+    # of its bound (about 3 unit roundoffs per term) exceeds 1e-15 relative
+    a, b = 0.001, 0.02
+    alpha = 700.0 / b
+    value, bound = quadrature._panel(alpha, a, b)
+    assert 1e-15 * value < bound <= 1e-12 * value
     with pytest.raises(PrecisionError):
-        exp_integral(0.0, 1e-30, 1.0, spec)
+        exp_integral(alpha, a, b, QuadratureSpec(rel_tol=1e-15))
+    assert exp_integral(alpha, a, b) == value
+    with pytest.raises(PrecisionError):  # b/a beyond the float range
+        exp_integral(0.0, 5e-324, 1e300)
+
+
+def _exact(alpha, a, b):
+    """I(alpha) from mpmath's Ei at 30 digits (log ratio when alpha = 0)."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if alpha == 0.0:
+            return mpmath.log(b / a)
+        return mpmath.ei(alpha * b) - mpmath.ei(alpha * a)
+
+
+def _assert_certified(alpha, a, b):
+    value, bound = quadrature._panel(alpha, a, b)
+    assert exp_integral(alpha, a, b) == value
+    assert abs(mpmath.mpf(value) - _exact(alpha, a, b)) <= bound, (alpha, a, b)
+    return bound / value
+
+
+def test_certified_bound_holds_on_every_pipeline_integral(monkeypatch):
+    seen = set()
+    real = bounds.exp_integral
+
+    def record(alpha, a, b, spec=quadrature.DEFAULT_SPEC):
+        seen.add((alpha, a, b))
+        return real(alpha, a, b, spec)
+
+    monkeypatch.setattr(bounds, "exp_integral", record)
+    final_constants(AggregateConfig(), jobs=1)
+    assert len(seen) >= 4000
+    worst = max(_assert_certified(*case) for case in sorted(seen))
+    assert worst <= 1e-13
+
+
+def test_certified_bound_holds_on_random_cases():
+    rng = np.random.default_rng(20261017)
+    for i in range(600):
+        a = float(rng.uniform(0.001, 0.05))
+        b = a * (1.0 + float(np.exp(rng.uniform(math.log(1e-6), math.log(19.0)))))
+        alpha = 0.0 if i == 0 else float(rng.uniform(0.0, (700.0 if i % 2 else 8.0) / b))
+        _assert_certified(alpha, a, b)
 
 
 def _random_cases(count, seed):
