@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class BoundParams:
                 f"k must lie in [{self.h // self.degree}, {self.h - 1}], got {self.k}"
             )
 
-    @property
+    @cached_property
     def s_max(self) -> Fraction:
         return s_max_exact(self.h, self.delta, self.degree, self.k)
 

@@ -13,6 +13,12 @@ prime or split. Counting decides each n from its sieved count and tests the
 cofactor only when it can change the verdict. Segments are independent work
 units; counting runs can be spread over processes and reduced by exact
 integer sums.
+
+Each segment's cofactors are classified in one batch: Miller-Rabin with the
+same witness ladder, and Pollard-Brent with every walk in lockstep, run in
+Montgomery arithmetic on numpy uint64 lanes. Cofactors of 2^63 and above
+(n >= 2^21), batches too small to pay for numpy's per-call cost, and the
+last slow walks of a batch stay on Python integers.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ import struct
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DomainError, FactorizationError
 
@@ -80,6 +88,194 @@ def is_certified_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Batched residual kernel: Montgomery arithmetic on numpy uint64 lanes
+# ---------------------------------------------------------------------------
+
+_MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
+_BATCH_MIN = 100  # below this many lanes numpy's per-call cost beats batching
+_LANES_MAX = 8192  # larger batches run in parts that stay in cache
+_ROWS = 16  # Brent steps whose differences are multiplied together in one tree
+_LO32 = np.uint64(0xFFFF_FFFF)
+_U32 = np.uint64(32)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return a & _LO32, a >> _U32
+
+
+def _mulhi(a0, a1, b0, b1) -> np.ndarray:
+    """High words of the 128-bit products (a1*2^32 + a0)*(b1*2^32 + b0), from
+    32-bit halves; each partial sum stays below 2^64. In place where it can:
+    fewer temporaries are faster and use less memory."""
+    t = a0 * b0
+    t >>= _U32
+    t += a0 * b1
+    hi = a1 * b1
+    hi += t >> _U32
+    t &= _LO32
+    t += a1 * b0
+    t >>= _U32
+    hi += t
+    return hi
+
+
+class _Mont(NamedTuple):
+    """Montgomery arithmetic x -> x*R mod m with R = 2^64, one odd modulus
+    1 < m < 2^63 per uint64 lane. Every residue argument is below m."""
+
+    m: np.ndarray
+    m0: np.ndarray  # halves of m
+    m1: np.ndarray
+    inv: np.ndarray  # m^-1 mod 2^64
+    one: np.ndarray  # R mod m
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> _Mont:
+        inv = m.copy()  # m*m == 1 (mod 8) for odd m; each step doubles the bits
+        for _ in range(5):
+            inv *= 2 - m * inv
+        return cls(m, *_halves(m), inv, np.uint64(0xFFFF_FFFF_FFFF_FFFF) % m + 1)
+
+    def take(self, keep: np.ndarray) -> _Mont:
+        return _Mont(*(a[keep] for a in self))
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        t = a + b
+        return np.minimum(t, t - self.m)  # t - m wraps above t unless t >= m
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """REDC(a*b) = a*b/R mod m. With u = lo(ab)*m^-1 mod 2^64, ab - um is
+        divisible by R and (ab - um)/R = hi(ab) - hi(um) lies in (-m, m)."""
+        ha = _halves(a)
+        hb = ha if b is a else _halves(b)
+        u = a * b
+        u *= self.inv
+        t = _mulhi(*ha, *hb)
+        t -= _mulhi(*_halves(u), self.m0, self.m1)
+        return np.minimum(t, t + self.m)  # a negative t has wrapped above t + m
+
+    def times(self, x: np.ndarray, a: int) -> np.ndarray:
+        """x*a mod m for a constant a >= 1, by doubling and adding: cheaper
+        than a product for the small constants of the witness ladder."""
+        out = x
+        for bit in bin(a)[3:]:
+            out = self.add(out, out)
+            if bit == "1":
+                out = self.add(out, x)
+        return out
+
+    def value(self, a: np.ndarray) -> list[int]:
+        """The residues a/R mod m as Python ints."""
+        return self.mul(a, np.ones_like(a)).tolist()
+
+
+def _mr_lanes(m: np.ndarray) -> np.ndarray:
+    """is_certified_prime on each lane of a uint64 array of values below 2^63,
+    with the same small-prime divisions and witness ladder."""
+    prime = m >= 2
+    open_ = prime.copy()
+    for p in _SMALL_PRIMES:
+        hit = open_ & (m % np.uint64(p) == 0)
+        prime[hit] = m[hit] == p
+        open_ &= ~hit
+    # every rung's bases are the first n_bases small primes
+    n_bases = np.full(m.shape, len(_MR_LADDER[-1][1]))
+    for bound, bases in reversed(_MR_LADDER[:-1]):
+        n_bases[m < np.uint64(bound)] = len(bases)
+    for j, a in enumerate(_SMALL_PRIMES):
+        lanes = np.flatnonzero(open_ & prime & (n_bases > j))
+        if not lanes.size:
+            break
+        prime[lanes] = _strong_probable_primes(m[lanes], a)
+    return prime
+
+
+def _strong_probable_primes(m: np.ndarray, a: int) -> np.ndarray:
+    """The strong probable-prime test to base a on each odd lane m > a."""
+    mod = _Mont.of(m)
+    d = m - np.uint64(1)
+    s = np.bitwise_count((d & (0 - d)) - np.uint64(1))  # d = 2^s * odd
+    d >>= s
+    x = mod.one
+    for i in range(int(d.max()).bit_length() - 1, -1, -1):
+        x = mod.mul(x, x)
+        x = np.where((d >> np.uint64(i)) & np.uint64(1), mod.times(x, a), x)
+    minus_one = mod.m - mod.one
+    passes = (x == mod.one) | (x == minus_one)
+    for r in range(1, int(s.max())):
+        x = mod.mul(x, x)
+        passes |= (x == minus_one) & (s > r)
+    return passes
+
+
+def _batches(
+    values: Sequence[int], lanes: list[int]
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The lanes (indices into values) in near-equal parts of at most
+    _LANES_MAX, each with its values as a uint64 array; none when there are
+    fewer than _BATCH_MIN lanes."""
+    if len(lanes) < _BATCH_MIN:
+        return
+    size = math.ceil(len(lanes) / math.ceil(len(lanes) / _LANES_MAX))
+    for start in range(0, len(lanes), size):
+        part = lanes[start : start + size]
+        yield part, np.array([values[i] for i in part], dtype=np.uint64)
+
+
+def certified_primes(values: Sequence[int]) -> list[bool]:
+    """is_certified_prime on every value; the values in (1, 2^63) are tested
+    together on numpy lanes when there are at least _BATCH_MIN of them."""
+    out: list[bool | None] = [None] * len(values)
+    for part, m in _batches(values, [i for i, v in enumerate(values) if 1 < v < _MONT_TOP]):
+        for i, prime in zip(part, _mr_lanes(m).tolist()):
+            out[i] = prime
+    return [is_certified_prime(v) if p is None else p for v, p in zip(values, out)]
+
+
+def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """The c = 1 walk of _pollard_brent on odd composite lanes below 2^63, in
+    lockstep: every lane shares the r-doubling schedule and takes a gcd every
+    128 steps, and leaves once its gcd is not 1.
+
+    Returns each lane's divisor, 0 where the gcd was the whole lane (the
+    scalar path backtracks or changes c), and the walk state (x, y, q, r, k)
+    of the lanes still open when fewer than _BATCH_MIN remain.
+    """
+    divisors = [0] * m.size
+    lanes = np.arange(m.size)
+    mod = _Mont.of(m)
+    x, y, q = mod.times(mod.one, 2), mod.times(mod.one, 5), mod.one
+    r = 1
+    k = 0
+    while lanes.size >= _BATCH_MIN:
+        if k >= r:
+            x, r, k = y, 2 * r, 0
+            for _ in range(r):
+                y = mod.add(mod.mul(y, y), mod.one)
+        block = min(128, r - k)  # r is a power of two and k a multiple of 128
+        for start in range(0, block, _ROWS):
+            # the differences |x - y| of up to _ROWS steps (a power of two)
+            # are multiplied into q as a tree, a few numpy calls per level
+            diffs = np.empty((min(_ROWS, block - start), lanes.size), dtype=np.uint64)
+            for row in diffs:
+                y = mod.add(mod.mul(y, y), mod.one)
+                np.subtract(np.maximum(x, y), np.minimum(x, y), out=row)
+            while len(diffs) > 1:
+                diffs = mod.mul(diffs[: len(diffs) // 2], diffs[len(diffs) // 2 :])
+            q = mod.mul(q, diffs[0])
+        k += 128
+        g = np.gcd(q, mod.m)
+        done = g != 1
+        if done.any():
+            for lane, d, v in zip(lanes[done].tolist(), g[done].tolist(), mod.m[done].tolist()):
+                divisors[lane] = d if d < v else 0
+            keep = ~done
+            lanes, mod, x, y, q = lanes[keep], mod.take(keep), x[keep], y[keep], q[keep]
+    states = zip(mod.value(x), mod.value(y), mod.value(q))
+    return divisors, {lane: (*s, r, k) for lane, s in zip(lanes.tolist(), states)}
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +548,30 @@ def _icbrt(n: int) -> int:
     return c
 
 
-def _pollard_brent(v: int, n: int) -> int:
+def _pollard_brent(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
     """A non-trivial divisor of composite v (Brent's cycle variant with a
-    deterministic parameter march, so output streams are reproducible)."""
+    deterministic parameter march, so output streams are reproducible).
+
+    The walk for c = 1 starts from resume, a state (x, y, q, r, k) that
+    _brent_lanes reached, when one is given.
+    """
     if v % 2 == 0:
         return 2
     for c in range(1, 41):
-        y, r, q = 2, 1, 1
+        # round r: x is fixed, y has taken k of its r gcd-tracked steps
+        x, y, q, r, k = resume if resume and c == 1 else (2, (4 + c) % v, 1, 1, 0)
         g = 1
-        x = ys = y
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % v
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
+            if k >= r:
+                x, r, k = y, 2 * r, 0
+                for _ in range(r):
                     y = (y * y + c) % v
-                    q = q * (x - y) % v
-                g = math.gcd(q, v)
-                k += 128
-            r <<= 1
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % v
+                q = q * (x - y) % v
+            g = math.gcd(q, v)
+            k += 128
         if g == v:
             g = 1
             y = ys
@@ -385,32 +583,59 @@ def _pollard_brent(v: int, n: int) -> int:
     raise FactorizationError(n, f"could not split cofactor {v}")
 
 
-def _factor_cofactor(m: int, n: int, floor: int = 0) -> dict[int, int]:
-    """Factor a cofactor whose prime factors all exceed floor: certify prime
-    (immediate when the value fits below floor^2), peel perfect squares and
-    cubes, otherwise split and recurse."""
+def _split(values: list[int], ns: Sequence[int]) -> list[int]:
+    """A checked non-trivial divisor of every composite value (ns as in
+    _cofactor_primes); odd values below 2^63 walk in lockstep first."""
+    divisors = [0] * len(values)
+    resume: dict[int, tuple[int, ...]] = {}
+    for part, m in _batches(values, [i for i, v in enumerate(values) if v % 2 and v < _MONT_TOP]):
+        found, states = _brent_lanes(m)
+        for i, d in zip(part, found):
+            divisors[i] = d
+        resume.update((part[j], state) for j, state in states.items())
+    for i, v in enumerate(values):
+        d = divisors[i] or _pollard_brent(v, ns[i], resume.get(i))
+        if not 1 < d < v or v % d:
+            raise FactorizationError(ns[i], f"bad split of {v}")
+        divisors[i] = d
+    return divisors
+
+
+def _cofactor_primes(
+    cofactors: Sequence[int], ns: Sequence[int], floor: int = 0
+) -> list[tuple[int, int]]:
+    """(i, p) for every prime factor p of cofactors[i], with multiplicity,
+    when all of them exceed floor (ns[i] is the n whose value cofactors[i]
+    divides, for errors).
+
+    Certify prime (immediate when the value fits below floor^2), peel
+    perfect squares and cubes, otherwise split and go round again with both
+    parts; each round tests, and then splits, all its values together.
+    """
     sq = floor * floor
-    out: dict[int, int] = {}
-    stack = [m]
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if v <= sq or is_certified_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        r = isqrt(v)
-        if r * r == v:
-            stack += [r, r]
-            continue
-        c = _icbrt(v)
-        if c * c * c == v:
-            stack += [c, c, c]
-            continue
-        d = _pollard_brent(v, n)
-        if d <= 1 or d >= v:
-            raise FactorizationError(n, f"bad split of {v}")
-        stack += [d, v // d]
+    out = []
+    todo = [(i, v) for i, v in enumerate(cofactors) if v > 1]
+    while todo:
+        verdicts = iter(certified_primes([v for _, v in todo if v > sq]))
+        composite = []
+        nxt = []
+        for i, v in todo:
+            if v <= sq or next(verdicts):
+                out.append((i, v))
+                continue
+            r = isqrt(v)
+            if r * r == v:
+                nxt += [(i, r)] * 2
+                continue
+            c = _icbrt(v)
+            if c * c * c == v:
+                nxt += [(i, c)] * 3
+            else:
+                composite.append((i, v))
+        split = _split([v for _, v in composite], [ns[i] for i, _ in composite])
+        for (i, v), d in zip(composite, split):
+            nxt += [(i, d), (i, v // d)]
+        todo = nxt
     return out
 
 
@@ -489,13 +714,11 @@ def factor_range(
             f"root table covers primes to {table.limit}, need {job.x_max}"
         )
     for lo, hi, residual, found in _sieved_segments(job, table):
-        for idx in range(hi - lo + 1):
+        for idx, p in _cofactor_primes(residual, range(lo, hi + 1), table.limit):
+            found[idx][p] = found[idx].get(p, 0) + 1
+        for idx, fac in enumerate(found):
             n = lo + idx
             value = n * n * n + 2
-            fac = found[idx]
-            if residual[idx] > 1:
-                for p, e in _factor_cofactor(residual[idx], n, table.limit).items():
-                    fac[p] = fac.get(p, 0) + e
             factors = tuple(sorted(fac.items()))
             check = 1
             for p, e in factors:
@@ -507,22 +730,6 @@ def factor_range(
             progress(lo, hi)
 
 
-def _residual_reaches(m: int, need: int, n: int, threshold: int, limit: int) -> bool:
-    """Whether the residual m > 1 of n^3 + 2 has at least need (1 or 2) prime
-    factors >= threshold, with multiplicity.
-
-    Every prime up to limit >= n has been stripped, so m is a prime or a
-    product of two primes, all above limit. When the threshold is at most
-    limit + 1 every one of them counts: one is always there, and a second
-    exactly when m is composite (m <= limit^2 is prime outright). Otherwise
-    m is split.
-    """
-    if threshold > limit + 1:
-        found = _factor_cofactor(m, n, limit)
-        return sum(e for p, e in found.items() if p >= threshold) >= need
-    return need == 1 or (m > limit * limit and not is_certified_prime(m))
-
-
 def _count_range(
     job: RangeJob,
     table: RootTable,
@@ -532,21 +739,34 @@ def _count_range(
         raise DomainError(
             f"root table covers primes to {table.limit}, need {job.x_max}"
         )
-    # the residual adds at most two factors, so it is looked at only when the
-    # sieved count om is h-1 or h-2
-    h = job.h
+    # Every prime up to limit >= n has been stripped, so a residual m > 1 is a
+    # prime or a product of two primes, all above limit: it adds one or two
+    # factors and is looked at only when the sieved count om is h-1 or h-2.
+    h, threshold, limit = job.h, job.threshold, table.limit
+    split = threshold > limit + 1  # residual factors may fall below the threshold
     count = 0
     for lo, hi, residual, found in _sieved_segments(job, table):
-        for idx in range(hi - lo + 1):
-            om = sum(e for p, e in found[idx].items() if p >= job.threshold)
-            if om >= h or (
-                om + 2 >= h
-                and residual[idx] > 1
-                and _residual_reaches(
-                    residual[idx], h - om, lo + idx, job.threshold, table.limit
-                )
-            ):
+        tested, open_ = [], []
+        for idx, m in enumerate(residual):
+            om = sum(e for p, e in found[idx].items() if p >= threshold)
+            if om >= h:
                 count += 1
+            elif om + 2 < h or m == 1:
+                continue
+            elif split:
+                open_.append((idx, h - om))
+            elif om == h - 1:
+                # every residual factor counts: one is always there, and a
+                # second exactly when m is composite (m <= limit^2 is prime)
+                count += 1
+            elif m > limit * limit:
+                tested.append(m)
+        count += certified_primes(tested).count(False)
+        added = [0] * len(open_)
+        ms = [residual[i] for i, _ in open_]
+        for j, p in _cofactor_primes(ms, [lo + i for i, _ in open_], limit):
+            added[j] += p >= threshold
+        count += sum(a >= need for a, (_, need) in zip(added, open_))
         if progress is not None:
             progress(lo, hi)
     return count

@@ -61,6 +61,22 @@ def trial_factor(m: int) -> dict[int, int]:
     return out
 
 
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """The textbook strong probable-prime test of odd n > 2 to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def nu_enumerate(d: int) -> int:
     """#{n mod d : n^3 + 2 == 0 (mod d)} by direct enumeration."""
     assert 1 <= d <= 10**7

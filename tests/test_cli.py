@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cubebound
 from cubebound import DomainError, build_root_table, load_root_table
 from cubebound.cli import main
 
@@ -203,9 +205,12 @@ def test_jobs_default_from_environment(monkeypatch):
 
 
 def test_console_script_runs():
+    # the child imports the same cubebound as the suite, installed or not
+    src = os.path.dirname(os.path.dirname(cubebound.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "cubebound", "empirical", "nu", "--d", "7"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["nu"] == 0

@@ -3,10 +3,13 @@ import os
 import random
 import struct
 
+import numpy as np
 import pytest
+import sympy
 
 from cubebound import (
     DomainError,
+    FactorizationError,
     RangeJob,
     RootTable,
     build_root_table,
@@ -24,9 +27,9 @@ from cubebound import (
     save_root_table,
 )
 from cubebound import empirical
-from cubebound.empirical import is_certified_prime, sieve_primes
+from cubebound.empirical import certified_primes, is_certified_prime, sieve_primes
 
-from oracles import cubic_roots_enumerate, nu_enumerate, trial_factor
+from oracles import cubic_roots_enumerate, is_strong_probable_prime, nu_enumerate, trial_factor
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,82 @@ def test_certified_prime_against_sieve():
 def test_certified_prime_large():
     assert is_certified_prime(2**61 - 1)
     assert not is_certified_prime((2**31 - 1) * (2**31 + 11))
+
+
+# ---------------------------------------------------------------------------
+# batched residual kernel (numpy Montgomery lanes)
+# ---------------------------------------------------------------------------
+
+def test_certified_primes_matches_sympy_below_2000():
+    assert certified_primes(range(2000)) == [sympy.isprime(n) for n in range(2000)]
+
+
+# strong pseudoprimes to every base of the rung below each ladder threshold;
+# the last is below 2^63 and passes all nine bases 2..23
+_LADDER_PSEUDOPRIMES = [
+    3_215_031_751,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+]
+_CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+               5394826801, 232250619601, 9746347772161]
+
+
+def _hard_primality_cases():
+    rnd = random.Random(2024)
+    near_2_31 = [sympy.prevprime(2**31), sympy.nextprime(2**31), sympy.nextprime(2**31 + 1000)]
+    cases = list(_LADDER_PSEUDOPRIMES) + _CARMICHAEL
+    cases += [p * q for p in near_2_31 for q in near_2_31]  # p^2 and p*q
+    cases += [2**63 + k for k in range(-301, 40, 2)]  # both sides of the lane limit
+    cases += [rnd.randrange(2**(bits - 1), 2**bits) | 1 for bits in range(33, 64) for _ in range(12)]
+    return cases
+
+
+def test_certified_primes_hard_cases_match_sympy():
+    cases = _hard_primality_cases()
+    assert certified_primes(cases) == [sympy.isprime(v) for v in cases]
+    # each pseudoprime is the bound of a rung and passes every base of it
+    rungs = dict(empirical._MR_LADDER)
+    for v in _LADDER_PSEUDOPRIMES:
+        assert not sympy.isprime(v)
+        assert all(is_strong_probable_prime(v, a) for a in rungs[v])
+
+
+def test_lockstep_splits_divide_and_are_proper():
+    rnd = random.Random(7)
+    cases = []
+    for _ in range(200):  # products of two primes above 1e6, below 2^63
+        p = sympy.nextprime(rnd.randrange(10**6, 2 * 10**7))
+        q = sympy.nextprime(rnd.randrange(10**6, 10**12))
+        cases.append((p * q, p, q))
+    values = [v for v, _, _ in cases]
+    found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
+    assert resume and len(resume) < empirical._BATCH_MIN  # the slowest lanes are handed over
+    for lane, (v, p, q) in enumerate(cases):
+        d = found[lane] or empirical._pollard_brent(v, lane, resume.get(lane))
+        assert d in (p, q), (v, d)
+        # the lockstep lanes walk the scalar c = 1 sequence exactly
+        assert d == empirical._pollard_brent(v, lane)
+    assert all(d in (p, q) for d, (_, p, q) in zip(empirical._split(values, values), cases))
+
+
+def test_lockstep_whole_modulus_gcd_goes_scalar():
+    # small semiprimes: both factors' cycles often close in the same gcd block
+    values = sorted({p * q for p in sieve_primes(200)[1:] for q in sieve_primes(200)[1:] if p < q})
+    found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
+    whole = [v for lane, v in enumerate(values) if not found[lane] and lane not in resume]
+    assert whole
+    for v, d in zip(values, empirical._split(values, values)):
+        assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
+
+
+def test_split_checks_every_divisor(monkeypatch):
+    primes = sieve_primes(5000)[-300:]
+    values = [p * q for p, q in zip(primes[::2], primes[1::2])]
+    monkeypatch.setattr(empirical, "_brent_lanes", lambda m: ([3] * m.size, {}))
+    with pytest.raises(FactorizationError):
+        empirical._split(values, values)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +336,8 @@ def test_counting_decision_matches_exact_factorisation(exact_factors, window, li
 def test_primality_tested_only_when_it_decides(exact_factors, window, limit, monkeypatch):
     table = build_root_table(limit)
     tested = []
-    real = empirical.is_certified_prime
-    monkeypatch.setattr(empirical, "is_certified_prime", lambda m: tested.append(m) or real(m))
+    real = empirical.certified_primes
+    monkeypatch.setattr(empirical, "certified_primes", lambda ms: tested.extend(ms) or real(ms))
     reached = False
     for threshold in (2, 32, limit + 1):
         views = [_sieved_view(f, limit, threshold) for f in exact_factors[window].values()]
@@ -270,6 +349,32 @@ def test_primality_tested_only_when_it_decides(exact_factors, window, limit, mon
             assert all(m > limit * limit for m in tested)  # smaller ones are prime
             reached = reached or bool(tested)
     assert reached
+
+
+_N63 = 2**21  # n^3 + 2 crosses 2^63 here, where the lanes give way to Python ints
+
+
+@pytest.fixture(scope="module")
+def window_across_2_63():
+    table = build_root_table(_N63 + 150)
+    return table, {n: sympy.factorint(n**3 + 2) for n in range(_N63 - 149, _N63 + 151)}
+
+
+@pytest.mark.parametrize("batch_min", [empirical._BATCH_MIN, 8])
+def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monkeypatch):
+    # batch_min 8 sends this window's lanes below 2^63 through the kernel, the
+    # default leaves its few lanes to the scalar path
+    monkeypatch.setattr(empirical, "_BATCH_MIN", batch_min)
+    table, factors = window_across_2_63
+    job = RangeJob(_N63 - 150, _N63 + 150, threshold=2, h=0)
+    assert {p.n: dict(p.factors) for p in factor_range(job, table)} == factors
+    for threshold in (2, table.limit + 1, table.limit + 2):
+        for h in (2, 3, 4):
+            want = sum(
+                1 for f in factors.values() if sum(e for p, e in f.items() if p >= threshold) >= h
+            )
+            got = empirical_T(RangeJob(_N63 - 150, _N63 + 150, threshold=threshold, h=h), table)
+            assert got == want, (threshold, h)
 
 
 def test_segment_independence():
