@@ -60,8 +60,25 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if flags[i]]
 
 
-def is_certified_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; valid for n below ~3.18e23."""
+def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
+    """Deterministic Miller-Rabin, valid below ~3.18e23, on n or on each
+    value of the sequence n.
+
+    A sequence's values in (1, 2^63) are tested together on numpy lanes, with
+    the same small-prime divisions and witness ladder, when there are at
+    least _MR_BATCH_MIN of them; the others one at a time.
+    """
+    if not isinstance(n, Sequence):
+        return _mr_int(n)
+    out: list[bool | None] = [None] * len(n)
+    lanes = [i for i, v in enumerate(n) if 1 < v < _MONT_TOP]
+    if len(lanes) >= _MR_BATCH_MIN:
+        for i, prime in zip(lanes, _mr_lanes(_lane_values(n, lanes)).tolist()):
+            out[i] = prime
+    return [_mr_int(v) if p is None else p for v, p in zip(n, out)]
+
+
+def _mr_int(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -95,9 +112,11 @@ def is_certified_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-_BATCH_MIN = 100  # below this many lanes numpy's per-call cost beats batching
-_LANES_MAX = 8192  # larger batches run in parts that stay in cache
-_ROWS = 16  # Brent steps whose differences are multiplied together in one tree
+# Fewer lanes than these run faster on Python ints: a batch pays numpy's
+# per-call cost (about 40 ms for a Miller-Rabin ladder on 62-bit values),
+# one value about 0.08 ms of Miller-Rabin or 3 ms of Brent walk.
+_MR_BATCH_MIN = 400
+_BRENT_BATCH_MIN = 100
 _LO32 = np.uint64(0xFFFF_FFFF)
 _U32 = np.uint64(32)
 
@@ -197,8 +216,9 @@ def _strong_probable_primes(m: np.ndarray, a: int) -> np.ndarray:
     """The strong probable-prime test to base a on each odd lane m > a."""
     mod = _Mont.of(m)
     d = m - np.uint64(1)
-    s = np.bitwise_count((d & (0 - d)) - np.uint64(1))  # d = 2^s * odd
-    d >>= s
+    low = d & (0 - d)  # d = 2^s * odd with 2^s = low, exact as a float
+    s = np.frexp(low.astype(np.float64))[1] - 1
+    d //= low
     x = mod.one
     for i in range(int(d.max()).bit_length() - 1, -1, -1):
         x = mod.mul(x, x)
@@ -211,38 +231,18 @@ def _strong_probable_primes(m: np.ndarray, a: int) -> np.ndarray:
     return passes
 
 
-def _batches(
-    values: Sequence[int], lanes: list[int]
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """The lanes (indices into values) in near-equal parts of at most
-    _LANES_MAX, each with its values as a uint64 array; none when there are
-    fewer than _BATCH_MIN lanes."""
-    if len(lanes) < _BATCH_MIN:
-        return
-    size = math.ceil(len(lanes) / math.ceil(len(lanes) / _LANES_MAX))
-    for start in range(0, len(lanes), size):
-        part = lanes[start : start + size]
-        yield part, np.array([values[i] for i in part], dtype=np.uint64)
-
-
-def certified_primes(values: Sequence[int]) -> list[bool]:
-    """is_certified_prime on every value; the values in (1, 2^63) are tested
-    together on numpy lanes when there are at least _BATCH_MIN of them."""
-    out: list[bool | None] = [None] * len(values)
-    for part, m in _batches(values, [i for i, v in enumerate(values) if 1 < v < _MONT_TOP]):
-        for i, prime in zip(part, _mr_lanes(m).tolist()):
-            out[i] = prime
-    return [is_certified_prime(v) if p is None else p for v, p in zip(values, out)]
+def _lane_values(values: Sequence[int], lanes: list[int]) -> np.ndarray:
+    return np.array([values[i] for i in lanes], dtype=np.uint64)
 
 
 def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """The c = 1 walk of _pollard_brent on odd composite lanes below 2^63, in
+    """The c = 1 walk of _brent_int on odd composite lanes below 2^63, in
     lockstep: every lane shares the r-doubling schedule and takes a gcd every
     128 steps, and leaves once its gcd is not 1.
 
     Returns each lane's divisor, 0 where the gcd was the whole lane (the
     scalar path backtracks or changes c), and the walk state (x, y, q, r, k)
-    of the lanes still open when fewer than _BATCH_MIN remain.
+    of the lanes still open when fewer than _BRENT_BATCH_MIN remain.
     """
     divisors = [0] * m.size
     lanes = np.arange(m.size)
@@ -250,22 +250,14 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     x, y, q = mod.times(mod.one, 2), mod.times(mod.one, 5), mod.one
     r = 1
     k = 0
-    while lanes.size >= _BATCH_MIN:
+    while lanes.size >= _BRENT_BATCH_MIN:
         if k >= r:
             x, r, k = y, 2 * r, 0
             for _ in range(r):
                 y = mod.add(mod.mul(y, y), mod.one)
-        block = min(128, r - k)  # r is a power of two and k a multiple of 128
-        for start in range(0, block, _ROWS):
-            # the differences |x - y| of up to _ROWS steps (a power of two)
-            # are multiplied into q as a tree, a few numpy calls per level
-            diffs = np.empty((min(_ROWS, block - start), lanes.size), dtype=np.uint64)
-            for row in diffs:
-                y = mod.add(mod.mul(y, y), mod.one)
-                np.subtract(np.maximum(x, y), np.minimum(x, y), out=row)
-            while len(diffs) > 1:
-                diffs = mod.mul(diffs[: len(diffs) // 2], diffs[len(diffs) // 2 :])
-            q = mod.mul(q, diffs[0])
+        for _ in range(min(128, r - k)):
+            y = mod.add(mod.mul(y, y), mod.one)
+            q = mod.mul(q, np.maximum(x, y) - np.minimum(x, y))  # the sign leaves gcd(q, m) alone
         k += 128
         g = np.gcd(q, mod.m)
         done = g != 1
@@ -548,7 +540,7 @@ def _icbrt(n: int) -> int:
     return c
 
 
-def _pollard_brent(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
+def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
     """A non-trivial divisor of composite v (Brent's cycle variant with a
     deterministic parameter march, so output streams are reproducible).
 
@@ -583,18 +575,20 @@ def _pollard_brent(v: int, n: int, resume: tuple[int, ...] | None = None) -> int
     raise FactorizationError(n, f"could not split cofactor {v}")
 
 
-def _split(values: list[int], ns: Sequence[int]) -> list[int]:
+def _pollard_brent(values: list[int], ns: Sequence[int]) -> list[int]:
     """A checked non-trivial divisor of every composite value (ns as in
-    _cofactor_primes); odd values below 2^63 walk in lockstep first."""
+    _cofactor_primes); odd values below 2^63 walk in lockstep first, and
+    _brent_int finishes the walks that did not split there."""
     divisors = [0] * len(values)
     resume: dict[int, tuple[int, ...]] = {}
-    for part, m in _batches(values, [i for i, v in enumerate(values) if v % 2 and v < _MONT_TOP]):
-        found, states = _brent_lanes(m)
-        for i, d in zip(part, found):
+    lanes = [i for i, v in enumerate(values) if v % 2 and v < _MONT_TOP]
+    if len(lanes) >= _BRENT_BATCH_MIN:
+        found, states = _brent_lanes(_lane_values(values, lanes))
+        for i, d in zip(lanes, found):
             divisors[i] = d
-        resume.update((part[j], state) for j, state in states.items())
+        resume = {lanes[j]: state for j, state in states.items()}
     for i, v in enumerate(values):
-        d = divisors[i] or _pollard_brent(v, ns[i], resume.get(i))
+        d = divisors[i] or _brent_int(v, ns[i], resume.get(i))
         if not 1 < d < v or v % d:
             raise FactorizationError(ns[i], f"bad split of {v}")
         divisors[i] = d
@@ -616,7 +610,7 @@ def _cofactor_primes(
     out = []
     todo = [(i, v) for i, v in enumerate(cofactors) if v > 1]
     while todo:
-        verdicts = iter(certified_primes([v for _, v in todo if v > sq]))
+        verdicts = iter(is_certified_prime([v for _, v in todo if v > sq]))
         composite = []
         nxt = []
         for i, v in todo:
@@ -632,7 +626,7 @@ def _cofactor_primes(
                 nxt += [(i, c)] * 3
             else:
                 composite.append((i, v))
-        split = _split([v for _, v in composite], [ns[i] for i, _ in composite])
+        split = _pollard_brent([v for _, v in composite], [ns[i] for i, _ in composite])
         for (i, v), d in zip(composite, split):
             nxt += [(i, d), (i, v // d)]
         todo = nxt
@@ -761,7 +755,7 @@ def _count_range(
                 count += 1
             elif m > limit * limit:
                 tested.append(m)
-        count += certified_primes(tested).count(False)
+        count += is_certified_prime(tested).count(False)
         added = [0] * len(open_)
         ms = [residual[i] for i, _ in open_]
         for j, p in _cofactor_primes(ms, [lo + i for i, _ in open_], limit):

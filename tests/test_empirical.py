@@ -27,7 +27,7 @@ from cubebound import (
     save_root_table,
 )
 from cubebound import empirical
-from cubebound.empirical import certified_primes, is_certified_prime, sieve_primes
+from cubebound.empirical import is_certified_prime, sieve_primes
 
 from oracles import cubic_roots_enumerate, is_strong_probable_prime, nu_enumerate, trial_factor
 
@@ -56,8 +56,8 @@ def test_certified_prime_large():
 # batched residual kernel (numpy Montgomery lanes)
 # ---------------------------------------------------------------------------
 
-def test_certified_primes_matches_sympy_below_2000():
-    assert certified_primes(range(2000)) == [sympy.isprime(n) for n in range(2000)]
+def test_certified_prime_batch_matches_sympy_below_2000():
+    assert is_certified_prime(range(2000)) == [sympy.isprime(n) for n in range(2000)]
 
 
 # strong pseudoprimes to every base of the rung below each ladder threshold;
@@ -82,9 +82,11 @@ def _hard_primality_cases():
     return cases
 
 
-def test_certified_primes_hard_cases_match_sympy():
+def test_certified_prime_batch_hard_cases_match_sympy():
     cases = _hard_primality_cases()
-    assert certified_primes(cases) == [sympy.isprime(v) for v in cases]
+    want = [sympy.isprime(v) for v in cases]
+    assert is_certified_prime(cases) == want  # lanes below 2^63, one at a time above
+    assert [is_certified_prime(v) for v in cases] == want
     # each pseudoprime is the bound of a rung and passes every base of it
     rungs = dict(empirical._MR_LADDER)
     for v in _LADDER_PSEUDOPRIMES:
@@ -101,13 +103,13 @@ def test_lockstep_splits_divide_and_are_proper():
         cases.append((p * q, p, q))
     values = [v for v, _, _ in cases]
     found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
-    assert resume and len(resume) < empirical._BATCH_MIN  # the slowest lanes are handed over
+    assert resume and len(resume) < empirical._BRENT_BATCH_MIN  # the slowest lanes are handed over
     for lane, (v, p, q) in enumerate(cases):
-        d = found[lane] or empirical._pollard_brent(v, lane, resume.get(lane))
+        d = found[lane] or empirical._brent_int(v, lane, resume.get(lane))
         assert d in (p, q), (v, d)
         # the lockstep lanes walk the scalar c = 1 sequence exactly
-        assert d == empirical._pollard_brent(v, lane)
-    assert all(d in (p, q) for d, (_, p, q) in zip(empirical._split(values, values), cases))
+        assert d == empirical._brent_int(v, lane)
+    assert all(d in (p, q) for d, (_, p, q) in zip(empirical._pollard_brent(values, values), cases))
 
 
 def test_lockstep_whole_modulus_gcd_goes_scalar():
@@ -116,16 +118,16 @@ def test_lockstep_whole_modulus_gcd_goes_scalar():
     found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
     whole = [v for lane, v in enumerate(values) if not found[lane] and lane not in resume]
     assert whole
-    for v, d in zip(values, empirical._split(values, values)):
+    for v, d in zip(values, empirical._pollard_brent(values, values)):
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
 
 
-def test_split_checks_every_divisor(monkeypatch):
+def test_pollard_brent_checks_every_divisor(monkeypatch):
     primes = sieve_primes(5000)[-300:]
     values = [p * q for p, q in zip(primes[::2], primes[1::2])]
     monkeypatch.setattr(empirical, "_brent_lanes", lambda m: ([3] * m.size, {}))
     with pytest.raises(FactorizationError):
-        empirical._split(values, values)
+        empirical._pollard_brent(values, values)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +338,8 @@ def test_counting_decision_matches_exact_factorisation(exact_factors, window, li
 def test_primality_tested_only_when_it_decides(exact_factors, window, limit, monkeypatch):
     table = build_root_table(limit)
     tested = []
-    real = empirical.certified_primes
-    monkeypatch.setattr(empirical, "certified_primes", lambda ms: tested.extend(ms) or real(ms))
+    real = empirical.is_certified_prime
+    monkeypatch.setattr(empirical, "is_certified_prime", lambda ms: tested.extend(ms) or real(ms))
     reached = False
     for threshold in (2, 32, limit + 1):
         views = [_sieved_view(f, limit, threshold) for f in exact_factors[window].values()]
@@ -360,11 +362,13 @@ def window_across_2_63():
     return table, {n: sympy.factorint(n**3 + 2) for n in range(_N63 - 149, _N63 + 151)}
 
 
-@pytest.mark.parametrize("batch_min", [empirical._BATCH_MIN, 8])
+@pytest.mark.parametrize("batch_min", [None, 8])
 def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monkeypatch):
-    # batch_min 8 sends this window's lanes below 2^63 through the kernel, the
-    # default leaves its few lanes to the scalar path
-    monkeypatch.setattr(empirical, "_BATCH_MIN", batch_min)
+    # batch_min 8 sends this window's lanes below 2^63 through both kernels;
+    # the defaults leave its few lanes to the scalar path
+    if batch_min:
+        monkeypatch.setattr(empirical, "_MR_BATCH_MIN", batch_min)
+        monkeypatch.setattr(empirical, "_BRENT_BATCH_MIN", batch_min)
     table, factors = window_across_2_63
     job = RangeJob(_N63 - 150, _N63 + 150, threshold=2, h=0)
     assert {p.n: dict(p.factors) for p in factor_range(job, table)} == factors
