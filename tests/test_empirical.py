@@ -56,7 +56,8 @@ def test_certified_prime_large():
 # batched residual kernel (numpy Montgomery lanes)
 # ---------------------------------------------------------------------------
 
-def test_certified_prime_batch_matches_sympy_below_2000():
+def test_certified_prime_batch_matches_sympy_below_2000(monkeypatch):
+    monkeypatch.setattr(empirical, "_MR_BATCH_MIN", 1)  # the lanes, whatever the crossover
     assert is_certified_prime(range(2000)) == [sympy.isprime(n) for n in range(2000)]
 
 
@@ -82,7 +83,8 @@ def _hard_primality_cases():
     return cases
 
 
-def test_certified_prime_batch_hard_cases_match_sympy():
+def test_certified_prime_batch_hard_cases_match_sympy(monkeypatch):
+    monkeypatch.setattr(empirical, "_MR_BATCH_MIN", 1)
     cases = _hard_primality_cases()
     want = [sympy.isprime(v) for v in cases]
     assert is_certified_prime(cases) == want  # lanes below 2^63, one at a time above
