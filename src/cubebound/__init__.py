@@ -3,7 +3,7 @@ n^3+2 has many prime factors above X^delta, the aggregation pipeline that
 turns them into a proportion and exponent, and a desk-scale empirical
 counting harness."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .aggregate import (
     AggregateConfig,
@@ -20,27 +20,9 @@ from .bounds import (
     TiltChoice,
     first_bound,
     optimize_alpha,
-    region_integral_mc,
     second_bound,
     second_bound_detail,
     second_bound_term,
-)
-from .empirical import (
-    FactorProfile,
-    RangeJob,
-    RootTable,
-    build_root_table,
-    cube_roots_of_minus2,
-    count_cubic_roots,
-    empirical_T,
-    factor_range,
-    load_root_table,
-    mean_nu,
-    mertens_check,
-    nu,
-    nu_from_factors,
-    roots_mod_prime_power,
-    save_root_table,
 )
 from .errors import DomainError, FactorizationError, PrecisionError
 from .lognum import (
@@ -61,20 +43,34 @@ from .lognum import (
 )
 from .quadrature import QuadratureSpec, exp_integral
 
+# the empirical harness needs numpy, so its names are imported on first use
+_EMPIRICAL = (
+    "FactorProfile", "RangeJob", "RootTable", "build_root_table",
+    "cube_roots_of_minus2", "count_cubic_roots", "empirical_T",
+    "factor_range", "load_root_table", "mean_nu", "mertens_check", "nu",
+    "nu_from_factors", "roots_mod_prime_power", "save_root_table",
+)
+
 __all__ = [
     "__version__",
     "AggregateConfig", "AggregateReport", "PerHTerm", "display_round",
     "final_constants", "sweep_H", "weighted_tail",
     "BoundParams", "SecondBoundDetail", "TiltChoice", "first_bound",
-    "optimize_alpha", "region_integral_mc", "second_bound",
+    "optimize_alpha", "second_bound",
     "second_bound_detail", "second_bound_term",
-    "FactorProfile", "RangeJob", "RootTable", "build_root_table",
-    "cube_roots_of_minus2", "count_cubic_roots", "empirical_T",
-    "factor_range", "load_root_table", "mean_nu", "mertens_check", "nu",
-    "nu_from_factors", "roots_mod_prime_power", "save_root_table",
+    *_EMPIRICAL,
     "DomainError", "FactorizationError", "PrecisionError",
     "ONE", "ZERO", "LogNumber", "from_fraction", "from_real", "ln_add",
     "ln_div", "ln_factorial", "ln_mul", "ln_neg", "ln_pow_int", "ln_sub",
     "ln_sum", "to_real",
     "QuadratureSpec", "exp_integral",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EMPIRICAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import empirical
+
+    value = globals()[name] = getattr(empirical, name)
+    return value

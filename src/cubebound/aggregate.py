@@ -12,12 +12,11 @@ All reductions run in ascending h so reports are bit-reproducible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bounds import TiltChoice, checked_delta, first_bound, second_bound_detail
+from .bounds import TiltChoice, checked_delta, clamped_K, first_bound, second_bound_detail
 from .errors import DomainError
 from .lognum import (
     ZERO,
@@ -113,7 +112,7 @@ def _per_h_entry(cfg: AggregateConfig, h: int, method: str) -> PerHTerm:
         K = None
         choices: tuple[TiltChoice, ...] = ()
     else:
-        K = min(h // 3 + cfg.K_offset, h - 1)
+        K = clamped_K(h, cfg.K_offset)
         detail = second_bound_detail(h, cfg.delta, K, cfg.quadrature)
         coeff = detail.total
         choices = detail.tilt_choices
@@ -124,28 +123,8 @@ def _per_h_entry(cfg: AggregateConfig, h: int, method: str) -> PerHTerm:
     )
 
 
-def _entry_args(args: tuple[AggregateConfig, int, str]) -> PerHTerm:
-    return _per_h_entry(*args)
-
-
-def _compute_terms(
-    cfg: AggregateConfig, hs: Sequence[int], method: str, jobs: int
-) -> list[PerHTerm]:
-    # closed-form terms cost less than starting a pool, so only tilted ones fan out
-    if jobs <= 1 or len(hs) < 4 or method == "first":
-        return [_per_h_entry(cfg, h, method) for h in hs]
-    work = [(cfg, h, method) for h in hs]
-    chunk = max(1, len(work) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_entry_args, work, chunksize=chunk))
-
-
 def weighted_tail(
-    cfg: AggregateConfig,
-    h_from: int,
-    h_to: int,
-    method: str,
-    jobs: int = 1,
+    cfg: AggregateConfig, h_from: int, h_to: int, method: str
 ) -> tuple[LogNumber, list[PerHTerm]]:
     """Sum of min(h, [1/delta]) * 2^h * c(h, delta) for h in [h_from, h_to],
     reduced in ascending h. An empty range sums to zero."""
@@ -158,7 +137,7 @@ def weighted_tail(
             f"need H < h_from <= h_to <= h_max, got H={cfg.H}, "
             f"h_from={h_from}, h_to={h_to}, h_max={cfg.h_max}"
         )
-    terms = _compute_terms(cfg, range(h_from, h_to + 1), method, jobs)
+    terms = [_per_h_entry(cfg, h, method) for h in range(h_from, h_to + 1)]
     return ln_sum(t.weighted for t in terms), terms
 
 
@@ -210,21 +189,19 @@ def _assemble_report(
     )
 
 
-def final_constants(cfg: AggregateConfig, jobs: int = 1) -> AggregateReport:
+def final_constants(cfg: AggregateConfig) -> AggregateReport:
     """Run the full pipeline at the given configuration.
 
     tail_second covers H < h < split_h with the tilted bound (K clamped to
     h-1 where [h/3]+K_offset would exceed it); tail_first covers
     split_h <= h <= h_max with the closed form.
     """
-    _, second_terms = weighted_tail(cfg, cfg.H + 1, cfg.split_h - 1, "second", jobs)
-    _, first_terms = weighted_tail(cfg, cfg.split_h, cfg.h_max, "first", jobs)
+    _, second_terms = weighted_tail(cfg, cfg.H + 1, cfg.split_h - 1, "second")
+    _, first_terms = weighted_tail(cfg, cfg.split_h, cfg.h_max, "first")
     return _assemble_report(cfg, second_terms, first_terms)
 
 
-def sweep_H(
-    cfg: AggregateConfig, H_values: Iterable[int], jobs: int = 1
-) -> list[tuple[int, AggregateReport]]:
+def sweep_H(cfg: AggregateConfig, H_values: Iterable[int]) -> list[tuple[int, AggregateReport]]:
     """final_constants for every H in H_values, sharing the per-h terms.
 
     Per-H failures come back as reports with ok=False, never as exceptions.
@@ -236,8 +213,8 @@ def sweep_H(
         if not (1 <= H < cfg.split_h):
             raise DomainError(f"swept H must satisfy 1 <= H < split_h, got {H}")
     base = replace(cfg, H=min(hs))
-    _, second_terms = weighted_tail(base, base.H + 1, cfg.split_h - 1, "second", jobs)
-    _, first_terms = weighted_tail(base, cfg.split_h, cfg.h_max, "first", jobs)
+    _, second_terms = weighted_tail(base, base.H + 1, cfg.split_h - 1, "second")
+    _, first_terms = weighted_tail(base, cfg.split_h, cfg.h_max, "first")
     out = []
     for H in hs:
         cfg_h = replace(cfg, H=H)

@@ -16,8 +16,8 @@ which turns each k-term into
 Every alpha >= 0 gives a valid bound, so the tilt decides only sharpness;
 optimize_alpha picks it from the convexity of the log k-term in alpha.
 
-A Monte Carlo estimator of the exact (unrelaxed) region integrals is provided
-as an oracle for small k.
+The Monte Carlo oracle for the exact (unrelaxed) region integrals lives with
+the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DomainError, PrecisionError
 from .lognum import ZERO, LogNumber, ln_sum
@@ -218,6 +216,11 @@ class SecondBoundDetail:
     boundary_term: LogNumber
 
 
+def clamped_K(h: int, K_offset: int) -> int:
+    """K = [h/3] + K_offset, clamped to h-1, the largest K a tilted bound admits."""
+    return min(h // 3 + K_offset, h - 1)
+
+
 def second_bound_detail(
     h: int, delta, K: int, spec: QuadratureSpec = DEFAULT_SPEC, alpha: float | None = None
 ) -> SecondBoundDetail:
@@ -246,55 +249,3 @@ def second_bound_detail(
 
 def second_bound(h: int, delta, K: int, spec: QuadratureSpec = DEFAULT_SPEC) -> LogNumber:
     return second_bound_detail(h, delta, K, spec).total
-
-
-def region_integral_mc(
-    p: BoundParams,
-    with_lower_constraint: bool,
-    samples: int,
-    seed: int,
-    batch: int = 1 << 18,
-) -> tuple[float, float]:
-    """Monte Carlo estimate (value, standard error) of the exact region
-    integral int prod(1/s_i) ds over ordered tuples delta <= s_1 <= ... <= s_k
-    subject to s_1+...+s_{k-1}+(h-k+1)*s_k <= 3 and, when
-    with_lower_constraint is set, also sum(s) <= 1 and
-    sum(s) >= (h-k-3)/(h-k-1).
-
-    Samples unordered tuples uniformly from the bounding box [delta, s_max]^k
-    and divides by k!, so the ordering constraint never has to be enforced.
-    Oracle for small instances only (k <= 8).
-    """
-    if p.k > 8:
-        raise DomainError(f"Monte Carlo oracle is for k <= 8, got k={p.k}")
-    if samples < 100_000:
-        raise DomainError(f"need at least 1e5 samples, got {samples}")
-    if p.is_empty():
-        return 0.0, 0.0
-
-    s_lo = float(p.delta)
-    s_hi = float(p.s_max)
-    h, k = p.h, p.k
-    lower = (h - k - 3) / (h - k - 1)
-
-    rng = np.random.default_rng(seed)
-    total_w = 0.0
-    total_w2 = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        s = np.sort(rng.uniform(s_lo, s_hi, size=(m, k)), axis=1)
-        ok = s[:, :-1].sum(axis=1) + (h - k + 1) * s[:, -1] <= 3.0
-        if with_lower_constraint:
-            t = s.sum(axis=1)
-            ok &= t <= 1.0
-            ok &= t >= lower
-        w = np.where(ok, 1.0 / np.prod(s, axis=1), 0.0)
-        total_w += float(w.sum())
-        total_w2 += float((w * w).sum())
-        done += m
-
-    scale = (s_hi - s_lo) ** k / math.factorial(k)
-    mean = total_w / samples
-    var = max(total_w2 - samples * mean * mean, 0.0) / (samples - 1)
-    return scale * mean, scale * math.sqrt(var / samples)

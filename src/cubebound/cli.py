@@ -11,7 +11,8 @@ Usage:
 Every run prints one JSON document (manifest + result) to stdout; the
 human-readable summary derived from that document goes to stderr. Exit codes:
 0 success/PASS, 1 usage error, 2 computation failure, 3 reproduction FAIL.
-Documents are byte-reproducible when --timestamp is pinned.
+Documents are byte-reproducible when --timestamp is pinned. reproduce --jobs N
+is accepted and ignored; the pipeline runs serially.
 """
 
 from __future__ import annotations
@@ -31,17 +32,7 @@ from .aggregate import (
     display_round,
     final_constants,
 )
-from .bounds import first_bound, second_bound_detail
-from .empirical import (
-    RangeJob,
-    build_root_table,
-    empirical_T,
-    load_root_table,
-    mean_nu,
-    mertens_check,
-    nu,
-    save_root_table,
-)
+from .bounds import clamped_K, first_bound, second_bound_detail
 from .errors import DomainError, FactorizationError, PrecisionError
 from .lognum import LogNumber, from_real, ln_add, ln_mul
 from .quadrature import QuadratureSpec
@@ -75,16 +66,6 @@ def _fraction_arg(text: str) -> Fraction:
     return fr
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("CUBEBOUND_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _lognum_doc(x: LogNumber) -> dict:
     return {"sign": x.sign, "log_mag": x.log_mag, "sci": x.to_sci(8)}
 
@@ -108,7 +89,6 @@ def build_parser() -> _Parser:
         bp.add_argument("--h", type=int, required=True)
         bp.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
         bp.add_argument("--rel-tol", type=float, default=1e-12)
-        bp.add_argument("--max-depth", type=int, default=60)
         if variant == "first":
             bp.add_argument("--degree", type=int, default=3)
         else:
@@ -132,8 +112,7 @@ def build_parser() -> _Parser:
     rep.add_argument("--K-offset", dest="K_offset", type=int, default=20)
     rep.add_argument("--s-lower", type=float, default=9.2e-8)
     rep.add_argument("--rel-tol", type=float, default=1e-12)
-    rep.add_argument("--max-depth", type=int, default=60)
-    rep.add_argument("--jobs", type=int, default=_default_jobs())
+    rep.add_argument("--jobs", type=int, help="accepted and ignored; the pipeline runs serially")
 
     emp = sub.add_parser("empirical", help="desk-scale counting and checks")
     esub = emp.add_subparsers(dest="variant", required=True)
@@ -162,12 +141,11 @@ def _manifest(command: str, parameters: dict, timestamp: str | None, seed=None) 
 
 
 def _cmd_bound(args) -> tuple[dict, dict, int]:
-    spec = QuadratureSpec(rel_tol=args.rel_tol, max_depth=args.max_depth)
+    spec = QuadratureSpec(rel_tol=args.rel_tol)
     if args.variant == "first":
         params = {
             "subcommand": "first", "h": args.h, "delta": args.delta,
             "degree": args.degree, "rel_tol": args.rel_tol,
-            "max_depth": args.max_depth,
         }
         value = first_bound(args.h, args.delta, args.degree)
         result = {
@@ -178,9 +156,9 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
         params = {
             "subcommand": "second", "h": args.h, "delta": args.delta,
             "K_offset": args.K_offset, "alpha": args.alpha,
-            "rel_tol": args.rel_tol, "max_depth": args.max_depth,
+            "rel_tol": args.rel_tol,
         }
-        K = min(args.h // 3 + args.K_offset, args.h - 1)
+        K = clamped_K(args.h, args.K_offset)
         detail = second_bound_detail(args.h, args.delta, K, spec, args.alpha)
         per_k = [
             {
@@ -292,7 +270,6 @@ def _cmd_reproduce(args) -> tuple[dict, dict, int]:
         "delta": args.delta, "H": args.H, "split": args.split,
         "h_max": args.h_max, "K_offset": args.K_offset,
         "s_lower": args.s_lower, "rel_tol": args.rel_tol,
-        "max_depth": args.max_depth, "jobs": args.jobs,
     }
     cfg = AggregateConfig(
         delta=args.delta,
@@ -301,9 +278,9 @@ def _cmd_reproduce(args) -> tuple[dict, dict, int]:
         h_max=args.h_max,
         K_offset=args.K_offset,
         S_lower=args.s_lower,
-        quadrature=QuadratureSpec(rel_tol=args.rel_tol, max_depth=args.max_depth),
+        quadrature=QuadratureSpec(rel_tol=args.rel_tol),
     )
-    report = final_constants(cfg, jobs=args.jobs)
+    report = final_constants(cfg)
     checks = _reproduce_checks(report)
     overall = report.ok and all(c["passed"] for c in checks)
     result = {
@@ -316,6 +293,18 @@ def _cmd_reproduce(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_empirical(args) -> tuple[dict, dict, int]:
+    # imported here so that bound and reproduce runs never load numpy
+    from .empirical import (
+        RangeJob,
+        build_root_table,
+        empirical_T,
+        load_root_table,
+        mean_nu,
+        mertens_check,
+        nu,
+        save_root_table,
+    )
+
     if args.variant == "nu":
         manifest = _manifest("empirical nu", {"d": args.d}, args.timestamp)
         return manifest, {"d": args.d, "nu": nu(args.d)}, 0

@@ -610,7 +610,8 @@ def _cofactor_primes(
     out = []
     todo = [(i, v) for i, v in enumerate(cofactors) if v > 1]
     while todo:
-        verdicts = iter(is_certified_prime([v for _, v in todo if v > sq]))
+        tested = [v for _, v in todo if v > sq]
+        verdicts = iter(is_certified_prime(tested) if tested else ())
         composite = []
         nxt = []
         for i, v in todo:
@@ -626,9 +627,10 @@ def _cofactor_primes(
                 nxt += [(i, c)] * 3
             else:
                 composite.append((i, v))
-        split = _pollard_brent([v for _, v in composite], [ns[i] for i, _ in composite])
-        for (i, v), d in zip(composite, split):
-            nxt += [(i, d), (i, v // d)]
+        if composite:
+            split = _pollard_brent([v for _, v in composite], [ns[i] for i, _ in composite])
+            for (i, v), d in zip(composite, split):
+                nxt += [(i, d), (i, v // d)]
         todo = nxt
     return out
 
@@ -755,7 +757,8 @@ def _count_range(
                 count += 1
             elif m > limit * limit:
                 tested.append(m)
-        count += is_certified_prime(tested).count(False)
+        if tested:
+            count += is_certified_prime(tested).count(False)
         added = [0] * len(open_)
         ms = [residual[i] for i, _ in open_]
         for j, p in _cofactor_primes(ms, [lo + i for i, _ in open_], limit):

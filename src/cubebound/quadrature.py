@@ -23,17 +23,13 @@ _U = 2.0**-53
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Accuracy demanded of exp_integral. rel_tol is a guarantee: a value whose
-    certified error bound exceeds rel_tol times itself raises PrecisionError.
-    max_depth is validated but unused, since the series never subdivides."""
+    certified error bound exceeds rel_tol times itself raises PrecisionError."""
 
     rel_tol: float = 1e-12
-    max_depth: int = 60
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1e-6):
             raise DomainError(f"rel_tol must be in (0, 1e-6), got {self.rel_tol!r}")
-        if self.max_depth < 10:
-            raise DomainError(f"max_depth must be at least 10, got {self.max_depth!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

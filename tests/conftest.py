@@ -18,7 +18,7 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def default_report():
     """Full pipeline at the reference configuration; shared by many tests."""
-    return final_constants(AggregateConfig(), jobs=2)
+    return final_constants(AggregateConfig())
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,17 @@
 
 These deliberately avoid the production code paths: the exponential integral
 comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), the
-factorisations from plain trial division, and the congruence-root counts from
-direct residue enumeration.
+factorisations from plain trial division, the congruence-root counts from
+direct residue enumeration, and the exact region integrals behind the bound
+coefficients from Monte Carlo sampling.
 """
 
 import math
 
 import numpy as np
+
+from cubebound.bounds import BoundParams
+from cubebound.errors import DomainError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -90,3 +94,55 @@ def cubic_roots_enumerate(p: int) -> tuple[int, ...]:
     n = np.arange(p, dtype=np.int64)
     hits = np.nonzero(((n * n % p) * n % p + 2) % p == 0)[0]
     return tuple(int(r) for r in hits)
+
+
+def region_integral_mc(
+    p: BoundParams,
+    with_lower_constraint: bool,
+    samples: int,
+    seed: int,
+    batch: int = 1 << 18,
+) -> tuple[float, float]:
+    """Monte Carlo estimate (value, standard error) of the exact region
+    integral int prod(1/s_i) ds over ordered tuples delta <= s_1 <= ... <= s_k
+    subject to s_1+...+s_{k-1}+(h-k+1)*s_k <= 3 and, when
+    with_lower_constraint is set, also sum(s) <= 1 and
+    sum(s) >= (h-k-3)/(h-k-1).
+
+    Samples unordered tuples uniformly from the bounding box [delta, s_max]^k
+    and divides by k!, so the ordering constraint never has to be enforced.
+    Oracle for small instances only (k <= 8).
+    """
+    if p.k > 8:
+        raise DomainError(f"Monte Carlo oracle is for k <= 8, got k={p.k}")
+    if samples < 100_000:
+        raise DomainError(f"need at least 1e5 samples, got {samples}")
+    if p.is_empty():
+        return 0.0, 0.0
+
+    s_lo = float(p.delta)
+    s_hi = float(p.s_max)
+    h, k = p.h, p.k
+    lower = (h - k - 3) / (h - k - 1)
+
+    rng = np.random.default_rng(seed)
+    total_w = 0.0
+    total_w2 = 0.0
+    done = 0
+    while done < samples:
+        m = min(batch, samples - done)
+        s = np.sort(rng.uniform(s_lo, s_hi, size=(m, k)), axis=1)
+        ok = s[:, :-1].sum(axis=1) + (h - k + 1) * s[:, -1] <= 3.0
+        if with_lower_constraint:
+            t = s.sum(axis=1)
+            ok &= t <= 1.0
+            ok &= t >= lower
+        w = np.where(ok, 1.0 / np.prod(s, axis=1), 0.0)
+        total_w += float(w.sum())
+        total_w2 += float((w * w).sum())
+        done += m
+
+    scale = (s_hi - s_lo) ** k / math.factorial(k)
+    mean = total_w / samples
+    var = max(total_w2 - samples * mean * mean, 0.0) / (samples - 1)
+    return scale * mean, scale * math.sqrt(var / samples)

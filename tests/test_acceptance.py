@@ -29,14 +29,13 @@ from cubebound import (
     ln_sum,
     mean_nu,
     optimize_alpha,
-    region_integral_mc,
     second_bound_detail,
     second_bound_term,
     weighted_tail,
 )
 from cubebound.empirical import count_cubic_roots
 
-from oracles import exp_integral_oracle, trial_factor
+from oracles import exp_integral_oracle, region_integral_mc, trial_factor
 
 
 def criterion(num: int, description: str, parts: list[tuple[str, bool]]) -> None:

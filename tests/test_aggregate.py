@@ -107,16 +107,6 @@ def test_second_method_at_small_h_clamps_K():
     assert [(t.h, t.K) for t in terms] == [(h, h - 1) for h in range(4, 10)]
 
 
-def test_jobs_parallel_matches_serial():
-    cfg = AggregateConfig()
-    for h_from, h_to, method in ((200, 230, "first"), (133, 189, "second")):
-        serial, terms1 = weighted_tail(cfg, h_from, h_to, method, jobs=1)
-        parallel, terms2 = weighted_tail(cfg, h_from, h_to, method, jobs=2)
-        assert serial == parallel
-        assert terms1 == terms2  # term by term, every TiltChoice included
-    assert all(t.tilt_choices for t in terms1)
-
-
 def test_tilt_search_work_budget(default_report):
     # exp_integral calls per optimised k-term, independent of the machine
     choices = default_report.tilt_choices
@@ -170,14 +160,14 @@ def test_failure_state_exact_margin():
 
 def test_sweep_singleton_equals_final_constants(default_report):
     cfg = AggregateConfig()
-    [(h_val, rep)] = sweep_H(cfg, [132], jobs=2)
+    [(h_val, rep)] = sweep_H(cfg, [132])
     assert h_val == 132
     assert rep == default_report
 
 
 def test_sweep_over_reference_window():
     cfg = AggregateConfig()
-    results = sweep_H(cfg, range(120, 141), jobs=2)
+    results = sweep_H(cfg, range(120, 141))
     assert [h for h, _ in results] == list(range(120, 141))
     by_h = dict(results)
     # low H pulls in huge terms: failures recorded, not raised

@@ -12,14 +12,13 @@ from cubebound import (
     ZERO,
     first_bound,
     optimize_alpha,
-    region_integral_mc,
     second_bound,
     second_bound_detail,
     second_bound_term,
 )
 from cubebound import bounds
 
-from oracles import exp_integral_oracle
+from oracles import exp_integral_oracle, region_integral_mc
 
 D321 = Fraction(1, 321)
 D10 = Fraction(1, 10)

@@ -79,6 +79,11 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["bound", "first", "--h", "3", "--delta", "1/0"]) == 1
     capsys.readouterr()
+    # --max-depth is gone with the quadrature depth it set
+    assert main(["reproduce", "--max-depth", "60"]) == 1
+    capsys.readouterr()
+    assert main(["bound", "first", "--h", "3", "--delta", "1/321", "--max-depth", "60"]) == 1
+    capsys.readouterr()
 
 
 def test_domain_errors_exit_2(capsys):
@@ -152,7 +157,7 @@ def test_empirical_mertens_cli(capsys):
 
 
 def test_reproduce_defaults_pass(capsys, default_report):
-    code, out, err = run_cli(capsys, "reproduce", "--jobs", "2", "--timestamp", "T")
+    code, out, err = run_cli(capsys, "reproduce", "--timestamp", "T")
     assert code == 0
     doc = doc_of(out)
     assert doc["result"]["overall_pass"] is True
@@ -193,24 +198,45 @@ def test_reproduce_first_bound_everywhere_is_worse(capsys, default_report):
     assert tail > default_report.tail_total.log_mag
 
 
-def test_jobs_default_from_environment(monkeypatch):
-    from cubebound.cli import _default_jobs
+def test_reproduce_jobs_is_accepted_and_ignored(capsys):
+    runs = [
+        run_cli(capsys, "reproduce", *jobs, "--timestamp", "T")
+        for jobs in ((), ("--jobs", "1"), ("--jobs", "2"))
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1] == runs[2]
+    assert "jobs" not in doc_of(runs[0][1])["manifest"]["parameters"]
 
-    monkeypatch.setenv("CUBEBOUND_JOBS", "7")
-    assert _default_jobs() == 7
-    monkeypatch.setenv("CUBEBOUND_JOBS", "garbage")
-    assert _default_jobs() >= 1
-    monkeypatch.delenv("CUBEBOUND_JOBS")
-    assert _default_jobs() >= 1
 
-
-def test_console_script_runs():
+def run_child(*argv):
     # the child imports the same cubebound as the suite, installed or not
     src = os.path.dirname(os.path.dirname(cubebound.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubebound", "empirical", "nu", "--d", "7"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_runs():
+    proc = run_child("-m", "cubebound", "empirical", "nu", "--d", "7")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["nu"] == 0
+
+
+def test_pipeline_never_loads_numpy_or_a_process_pool():
+    script = """
+import contextlib, io, sys
+import cubebound, cubebound.aggregate, cubebound.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cubebound.cli.main(["reproduce", "--timestamp", "T"]) == 0
+heavy = {"numpy", "concurrent.futures.process"}
+assert not heavy & set(sys.modules), heavy & set(sys.modules)
+assert cubebound.factor_range is cubebound.empirical.factor_range
+assert "numpy" in sys.modules
+names = {}
+exec("from cubebound import *", names)
+assert set(cubebound.__all__) <= set(names)
+"""
+    proc = run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr

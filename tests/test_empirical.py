@@ -371,6 +371,13 @@ def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monke
     if batch_min:
         monkeypatch.setattr(empirical, "_MR_BATCH_MIN", batch_min)
         monkeypatch.setattr(empirical, "_BRENT_BATCH_MIN", batch_min)
+    # the batch layers are called only with something to classify
+    sizes = {"is_certified_prime": [], "_pollard_brent": []}
+    for name, seen in sizes.items():
+        real = getattr(empirical, name)
+        monkeypatch.setattr(empirical, name,
+                            lambda values, *rest, f=real, s=seen: s.append(len(values))
+                            or f(values, *rest))
     table, factors = window_across_2_63
     job = RangeJob(_N63 - 150, _N63 + 150, threshold=2, h=0)
     assert {p.n: dict(p.factors) for p in factor_range(job, table)} == factors
@@ -381,6 +388,7 @@ def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monke
             )
             got = empirical_T(RangeJob(_N63 - 150, _N63 + 150, threshold=threshold, h=h), table)
             assert got == want, (threshold, h)
+    assert all(seen and min(seen) > 0 for seen in sizes.values()), sizes
 
 
 def test_segment_independence():
