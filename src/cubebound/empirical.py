@@ -19,6 +19,10 @@ same witness ladder, and Pollard-Brent with every walk in lockstep, run in
 Montgomery arithmetic on numpy uint64 lanes. Cofactors of 2^63 and above
 (n >= 2^21), batches too small to pay for numpy's per-call cost, and the
 last slow walks of a batch stay on Python integers.
+
+The prime layer runs on numpy lanes as well: an odd-only sieve, nu(p) by
+the cubic character in uint64 arithmetic, and the prime sums over blocks of
+2^14 primes, with results bit-identical to a loop over one prime at a time.
 """
 
 from __future__ import annotations
@@ -50,14 +54,25 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes up to and including limit."""
+    return _prime_array(limit).tolist()
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    """The primes up to and including limit, ascending, as uint64: a sieve
+    over the odd numbers in which each prime strikes its odd multiples from
+    its square on."""
     if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i in range(2, limit + 1) if flags[i]]
+        return np.zeros(0, dtype=np.uint64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1, odd[0] for 2
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes.view(np.uint64)
 
 
 def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
@@ -274,15 +289,46 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
 # Roots of n^3 + 2 == 0 modulo primes and prime powers
 # ---------------------------------------------------------------------------
 
-def count_cubic_roots(p: int) -> int:
-    """nu(p) for prime p without computing the roots themselves.
+def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
+    """nu(p) for prime p, or for each lane of a uint64 array of primes below
+    2^32, without computing the roots themselves.
 
     For p = 2, 3 and p == 2 (mod 3) cubing is a bijection so nu(p) = 1; for
-    p == 1 (mod 3) the count is 3 or 0 by the cubic-residue character of -2.
+    p == 1 (mod 3) the count is 3 or 0 by the cubic-residue character of -2,
+    (p-2)^((p-1)/3) mod p. On lanes the character is taken by square and
+    multiply in plain uint64 arithmetic, where products below p^2 < 2^64 are
+    exact.
     """
-    if p in (2, 3) or p % 3 == 2:
-        return 1
-    return 3 if pow(p - 2, (p - 1) // 3, p) == 1 else 0
+    if not isinstance(p, np.ndarray):
+        if p in (2, 3) or p % 3 == 2:
+            return 1
+        return 3 if pow(p - 2, (p - 1) // 3, p) == 1 else 0
+    if p.size and int(p.max()) >> 32:
+        raise DomainError(f"lane primes must lie below 2^32, got {int(p.max())}")
+    counts = np.ones(p.shape, dtype=np.int64)
+    lanes = np.flatnonzero(p % 3 == 1)
+    if lanes.size:
+        m = p[lanes]
+        a = m - 2
+        e = (m - 1) // 3
+        x = np.ones_like(m)
+        for i in range(int(e.max()).bit_length() - 1, -1, -1):
+            x = x * x % m
+            x = np.where((e >> np.uint64(i)) & np.uint64(1), x * a % m, x)
+        counts[lanes] = np.where(x == 1, 3, 0)
+    return counts
+
+
+# primes per block of the prime sums and of the cache check: 2^16 ran no
+# faster, and its numpy temporaries raised the peak memory of a count run
+_PRIME_BLOCK = 1 << 14
+
+
+def _nu_blocks(primes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, primes[start:start + _PRIME_BLOCK], their nu(p)) per block."""
+    for start in range(0, primes.size, _PRIME_BLOCK):
+        block = primes[start : start + _PRIME_BLOCK]
+        yield start, block, count_cubic_roots(block)
 
 
 def cube_roots_of_minus2(p: int) -> tuple[int, ...]:
@@ -457,6 +503,10 @@ def save_root_table(path: str, table: RootTable) -> None:
 
 
 def load_root_table(path: str) -> RootTable:
+    """Read a cache written by save_root_table, checked against the sieve:
+    the entries must be exactly the primes up to the header's limit (at most
+    MAX_RANGE_TOP), each with nu(p) roots, strictly increasing, that solve
+    n^3 + 2 == 0 (mod p). Anything else raises DomainError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != _CACHE_MAGIC:
@@ -465,29 +515,48 @@ def load_root_table(path: str) -> RootTable:
     if version != _CACHE_VERSION:
         raise DomainError(f"{path}: unsupported cache version {version}")
     (limit,) = struct.unpack_from("<Q", data, 8)
+    if limit > MAX_RANGE_TOP:
+        raise DomainError(f"{path}: prime limit {limit} is above {MAX_RANGE_TOP}")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    words = np.lib.stride_tricks.sliding_window_view(raw, 8)
+
+    def word(at: np.ndarray) -> np.ndarray:
+        return words[at].view("<u8").ravel()
+
     roots: dict[int, tuple[int, ...]] = {}
-    off = 16
-    prev = 0
-    while off < len(data):
-        if off + 9 > len(data):
-            raise DomainError(f"{path}: truncated entry at offset {off}")
-        p, count = struct.unpack_from("<QB", data, off)
-        off += 9
-        if p <= prev or p > limit or count > 3:
-            raise DomainError(f"{path}: corrupt entry for p={p}")
-        if off + 8 * count > len(data):
-            raise DomainError(f"{path}: truncated roots for p={p}")
-        rs = struct.unpack_from(f"<{count}Q", data, off) if count else ()
-        off += 8 * count
-        for r in rs:
-            if r >= p or (r * r * r + 2) % p:
-                raise DomainError(f"{path}: invalid root {r} for p={p}")
-        roots[p] = tuple(rs)
-        prev = p
-    # the table holds every prime up to limit, so a cut between entries
-    # shows as a prime above the last one
-    if any(_trial_factor(q) == {q: 1} for q in range(prev + 1, limit + 1)):
-        raise DomainError(f"{path}: truncated after p={prev}")
+    end = 16
+    for start, primes, counts in _nu_blocks(_prime_array(limit)):
+        # entry start + j should take 9 + 8*counts[j] bytes from offset offs[j]
+        sizes = 9 + 8 * counts
+        offs = np.cumsum(sizes) + (end - sizes)
+        end = int(offs[-1] + sizes[-1])
+        # compare every entry whose prime and count byte lie inside the file,
+        # so that a missing or extra entry is named even when the length is wrong
+        inside = offs[: np.searchsorted(offs, len(data) - 9, side="right")]
+        n = inside.size
+        wrong = (word(inside) != primes[:n]) | (raw[inside + 8] != counts[:n])
+        if wrong.any():
+            j = int(np.argmax(wrong))
+            raise DomainError(
+                f"{path}: entry {start + j} is not p={primes[j]} with {counts[j]} roots"
+            )
+        if end > len(data):
+            raise DomainError(f"{path}: truncated at byte {len(data)}")
+        roots.update(dict.fromkeys(primes.tolist(), ()))  # in prime order
+        for c in (1, 3):  # nu(p) is 0, 1 or 3
+            at = np.flatnonzero(counts == c)
+            p = primes[at]
+            cols = [word(offs[at] + 9 + 8 * k) for k in range(c)]
+            for k, r in enumerate(cols):
+                bad = (r >= p) | ((r * r % p * r + 2) % p != 0)
+                if k:
+                    bad |= r <= cols[k - 1]
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    raise DomainError(f"{path}: invalid root {r[j]} for p={p[j]}")
+            roots.update(zip(p.tolist(), zip(*(r.tolist() for r in cols))))
+    if len(data) > end:
+        raise DomainError(f"{path}: {len(data) - end} bytes after the last prime")
     return RootTable(limit, roots)
 
 
@@ -637,16 +706,19 @@ def _cofactor_primes(
 
 def _sieved_segments(
     job: RangeJob, table: RootTable
-) -> Iterator[tuple[int, int, list[int], list[dict[int, int]]]]:
+) -> Iterator[tuple[int, int, list[int], list[dict[int, int]], list[int]]]:
     """Strip every table prime from each segment of (x_min, x_max].
 
-    Yields (lo, hi, residuals, found) where residuals[i] is what is left of
-    (lo+i)^3 + 2 and found[i] maps the stripped primes to multiplicities.
+    Yields (lo, hi, residuals, found, above) where residuals[i] is what is
+    left of (lo+i)^3 + 2, found[i] maps the stripped primes to
+    multiplicities and above[i] counts those >= job.threshold with
+    multiplicity.
     Roots' progressions for primes above the segment size are kept in
     per-segment buckets so each prime is touched only at its actual hits.
     """
     base = job.x_min + 1
     seg = job.segment_size
+    threshold = job.threshold
     smalls = [
         (p, r)
         for p, roots in table.roots.items()
@@ -669,6 +741,7 @@ def _sieved_segments(
         width = hi - lo + 1
         residual = [n * n * n + 2 for n in range(lo, hi + 1)]
         found: list[dict[int, int]] = [{} for _ in range(width)]
+        above = [0] * width
 
         def strip(idx: int, p: int) -> None:
             v = residual[idx]
@@ -679,6 +752,8 @@ def _sieved_segments(
             if e:
                 residual[idx] = v
                 found[idx][p] = e
+                if p >= threshold:
+                    above[idx] += e
 
         for p, r in smalls:
             for n in range(lo + (r - lo) % p, hi + 1, p):
@@ -689,7 +764,7 @@ def _sieved_segments(
                 n += p
             if n <= job.x_max:
                 buckets.setdefault((n - base) // seg, []).append((p, n))
-        yield lo, hi, residual, found
+        yield lo, hi, residual, found, above
 
 
 def factor_range(
@@ -709,7 +784,7 @@ def factor_range(
         raise DomainError(
             f"root table covers primes to {table.limit}, need {job.x_max}"
         )
-    for lo, hi, residual, found in _sieved_segments(job, table):
+    for lo, hi, residual, found, _ in _sieved_segments(job, table):
         for idx, p in _cofactor_primes(residual, range(lo, hi + 1), table.limit):
             found[idx][p] = found[idx].get(p, 0) + 1
         for idx, fac in enumerate(found):
@@ -741,10 +816,9 @@ def _count_range(
     h, threshold, limit = job.h, job.threshold, table.limit
     split = threshold > limit + 1  # residual factors may fall below the threshold
     count = 0
-    for lo, hi, residual, found in _sieved_segments(job, table):
+    for lo, hi, residual, _, above in _sieved_segments(job, table):
         tested, open_ = [], []
-        for idx, m in enumerate(residual):
-            om = sum(e for p, e in found[idx].items() if p >= threshold)
+        for idx, (m, om) in enumerate(zip(residual, above)):
             if om >= h:
                 count += 1
             elif om + 2 < h or m == 1:
@@ -814,7 +888,10 @@ def mertens_check(
     """Deviations sum_{p<=x_i} nu(p) log(p)/p - log(x_i) at each checkpoint.
 
     Exact prime enumeration with floating accumulation; checkpoints default
-    to the powers of ten up to x, plus x itself.
+    to the powers of ten up to x, plus x itself. The primes are taken in
+    blocks of 2^14: each term is rounded as in nu(p) * math.log(p) / p and
+    the terms are added strictly in prime order, so the deviations equal
+    those of a loop over one prime at a time, bit for bit.
     """
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
@@ -827,22 +904,31 @@ def mertens_check(
         cps = sorted(set(int(c) for c in checkpoints))
         if not cps or cps[0] < 2 or cps[-1] > x:
             raise DomainError("checkpoints must lie in [2, x]")
-    primes = sieve_primes(cps[-1])
+    primes = _prime_array(cps[-1])
+    # the last prime at or below each checkpoint
+    ends = np.searchsorted(primes, np.array(cps, dtype=np.uint64), side="right") - 1
     out: list[tuple[int, float]] = []
     acc = 0.0
-    i = 0
-    for cp in cps:
-        while i < len(primes) and primes[i] <= cp:
-            p = primes[i]
-            acc += count_cubic_roots(p) * math.log(p) / p
-            i += 1
-        out.append((cp, acc - math.log(cp)))
+    j = 0
+    for start, block, nus in _nu_blocks(primes):
+        # the loop's acc += nu*log(p)/p, in the same roundings and order:
+        # math.log, since numpy's log may differ from libm in the last bit,
+        # and a cumulative sum, which adds strictly from left to right
+        logs = np.fromiter(map(math.log, block.tolist()), dtype=np.float64, count=block.size)
+        sums = nus * logs / block
+        sums[0] += acc
+        np.cumsum(sums, out=sums)
+        acc = float(sums[-1])
+        while j < len(cps) and ends[j] < start + block.size:
+            out.append((cps[j], float(sums[ends[j] - start]) - math.log(cps[j])))
+            j += 1
     return out
 
 
 def mean_nu(limit: int) -> float:
     """Average of nu(p) over primes p <= limit."""
-    primes = sieve_primes(limit)
-    if not primes:
+    primes = _prime_array(limit)
+    if not primes.size:
         raise DomainError(f"no primes up to {limit}")
-    return sum(count_cubic_roots(p) for p in primes) / len(primes)
+    return sum(int(nus.sum()) for _, _, nus in _nu_blocks(primes)) / primes.size
+

@@ -2,9 +2,10 @@
 
 These deliberately avoid the production code paths: the exponential integral
 comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), the
-factorisations from plain trial division, the congruence-root counts from
-direct residue enumeration, and the exact region integrals behind the bound
-coefficients from Monte Carlo sampling.
+factorisations and primes from plain trial division, the prime sum from a
+loop over one prime at a time, the congruence-root counts from direct residue
+enumeration, and the exact region integrals behind the bound coefficients
+from Monte Carlo sampling.
 """
 
 import math
@@ -62,6 +63,31 @@ def trial_factor(m: int) -> dict[int, int]:
         d += 1
     if m > 1:
         out[m] = out.get(m, 0) + 1
+    return out
+
+
+def primes_by_trial_division(limit: int) -> list[int]:
+    """The primes up to limit, each certified by trial division."""
+    return [n for n in range(2, limit + 1) if trial_factor(n) == {n: 1}]
+
+
+def prime_sum_loop(x: int, checkpoints: list[int], nu) -> list[tuple[int, float]]:
+    """sum_{p<=c} nu(p) log(p)/p - log(c) at each sorted checkpoint c <= x,
+    accumulated one prime at a time over a bytearray sieve."""
+    flags = bytearray([1]) * (x + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(x) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(range(p * p, x + 1, p)))
+    out = []
+    acc = 0.0
+    n = 1
+    for c in checkpoints:
+        while n < c:
+            n += 1
+            if flags[n]:
+                acc += nu(n) * math.log(n) / n
+        out.append((c, acc - math.log(c)))
     return out
 
 

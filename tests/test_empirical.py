@@ -29,7 +29,14 @@ from cubebound import (
 from cubebound import empirical
 from cubebound.empirical import is_certified_prime, sieve_primes
 
-from oracles import cubic_roots_enumerate, is_strong_probable_prime, nu_enumerate, trial_factor
+from oracles import (
+    cubic_roots_enumerate,
+    is_strong_probable_prime,
+    nu_enumerate,
+    prime_sum_loop,
+    primes_by_trial_division,
+    trial_factor,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +46,13 @@ from oracles import cubic_roots_enumerate, is_strong_probable_prime, nu_enumerat
 def test_sieve_primes():
     assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert sieve_primes(1) == []
+    want = primes_by_trial_division(10_201)
+    for limit in range(201):
+        assert sieve_primes(limit) == [p for p in want if p <= limit], limit
+    # a prime's square is the first odd multiple it strikes
+    for p in want[:26]:
+        for limit in (p * p - 1, p * p, p * p + 1):
+            assert sieve_primes(limit) == [q for q in want if q <= limit], limit
 
 
 def test_certified_prime_against_sieve():
@@ -196,6 +210,25 @@ def test_cube_roots_match_enumeration_everywhere(roots_enum_1e5):
     for p, want in roots_enum_1e5.items():
         assert cube_roots_of_minus2(p) == want, p
         assert count_cubic_roots(p) == len(want), p
+    primes = np.array(sorted(roots_enum_1e5), dtype=np.uint64)
+    assert count_cubic_roots(primes).tolist() == [len(roots_enum_1e5[p]) for p in primes.tolist()]
+
+
+def test_lane_cubic_root_counts_match_scalar_near_the_caps():
+    # near the 1e8 cap of mertens_check and below 2^32, where p^2 nearly
+    # fills a uint64 lane
+    rng = random.Random(20141201)
+    primes = sorted(
+        p for lo in (10**8 - 10**6, 2**32 - 10**6) for p in rng.sample(range(lo, lo + 10**6), 4000)
+        if sympy.isprime(p)
+    )
+    primes.append(4_294_967_291)  # the largest prime below 2^32
+    assert len(primes) > 300
+    lanes = count_cubic_roots(np.array(primes, dtype=np.uint64)).tolist()
+    assert lanes == [count_cubic_roots(p) for p in primes]
+    assert set(lanes) == {0, 1, 3}
+    with pytest.raises(DomainError):
+        count_cubic_roots(np.array([5, 4_294_967_311], dtype=np.uint64))  # above 2^32
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +505,44 @@ def test_root_table_cache_rejects_a_cut_between_entries(tmp_path):
         load_root_table(str(path))
 
 
+def _reload(tmp_path, limit, roots):
+    path = tmp_path / "roots.bin"
+    save_root_table(str(path), RootTable(limit, roots))
+    return load_root_table(str(path))
+
+
+@pytest.mark.parametrize("p", [5, 1009])
+def test_root_table_cache_rejects_a_missing_prime(tmp_path, p):
+    # without p = 5 every n == 2 (mod 5) keeps 5 in its residual, and
+    # factor_range reports composite "prime" factors such as 25
+    roots = dict(build_root_table(2000).roots)
+    del roots[p]
+    with pytest.raises(DomainError, match=f"p={p}"):
+        _reload(tmp_path, 2000, roots)
+
+
+def test_root_table_cache_rejects_a_dropped_root(tmp_path):
+    roots = dict(build_root_table(2000).roots)
+    p = min(q for q, rs in roots.items() if len(rs) == 3)
+    roots[p] = roots[p][:2]  # saved with count byte 2
+    with pytest.raises(DomainError, match=f"p={p}"):
+        _reload(tmp_path, 2000, roots)
+
+
+def test_root_table_cache_rejects_a_repeated_root(tmp_path):
+    roots = dict(build_root_table(2000).roots)
+    p = max(q for q, rs in roots.items() if len(rs) == 3)
+    r0, r1, _ = roots[p]
+    roots[p] = (r0, r1, r1)  # three valid roots, so only their order tells
+    with pytest.raises(DomainError, match=f"p={p}"):
+        _reload(tmp_path, 2000, roots)
+
+
+def test_root_table_cache_rejects_a_limit_beyond_the_range_cap(tmp_path):
+    with pytest.raises(DomainError, match="above"):
+        _reload(tmp_path, 2**40, {})
+
+
 def test_failed_save_keeps_the_old_cache(tmp_path):
     path = tmp_path / "roots.bin"
     save_root_table(str(path), build_root_table(100))
@@ -490,6 +561,36 @@ def test_mertens_single_prime():
     [(x, dev)] = mertens_check(2, checkpoints=[2])
     assert x == 2
     assert dev == pytest.approx(math.log(2) / 2 - math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [821_640, 821_641, 821_647])
+def test_mertens_matches_the_prime_loop_across_a_block(x):
+    # 821,641 is the 65,536th prime, the last of a block
+    assert 65_536 % empirical._PRIME_BLOCK == 0
+    assert sieve_primes(x)[65_535:65_536] == ([821_641] if x >= 821_641 else [])
+    checkpoints = [2, 3, 10, 1000, 821_640, x]
+    for cps in (None, checkpoints):
+        want = prime_sum_loop(x, sorted(set(cps or [10, 100, 1000, 10**4, 10**5, x])),
+                              count_cubic_roots)
+        assert mertens_check(x, cps) == want
+
+
+def test_mertens_pinned_deviations_1e7():
+    assert mertens_check(10**7) == [
+        (10, -1.26791982400455),
+        (100, -1.858458852049882),
+        (1000, -1.8909159317182729),
+        (10000, -1.9326471175760753),
+        (100000, -1.9619267509896954),
+        (1000000, -1.9603574456234423),
+        (10000000, -1.961435780812483),
+    ]
+
+
+def test_mean_nu_matches_the_prime_loop():
+    for limit in (2, 3, 10, 10**5):
+        primes = sieve_primes(limit)
+        assert mean_nu(limit) == sum(map(count_cubic_roots, primes)) / len(primes)
 
 
 def test_mertens_deviations_bounded(mertens_1e6):
