@@ -23,6 +23,9 @@ last slow walks of a batch stay on Python integers.
 The prime layer runs on numpy lanes as well: an odd-only sieve, nu(p) by
 the cubic character in uint64 arithmetic, and the prime sums over blocks of
 2^14 primes, with results bit-identical to a loop over one prime at a time.
+The root table is two aligned uint64 arrays, prime and root, from end to
+end: its cube roots are built on lanes, the cache is written and checked as
+one buffer, and the sieve reads its progressions from the arrays.
 """
 
 from __future__ import annotations
@@ -289,15 +292,24 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
 # Roots of n^3 + 2 == 0 modulo primes and prime powers
 # ---------------------------------------------------------------------------
 
+def _pow_lanes(a: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a^e mod m on each lane, for uint64 arrays with a < m < 2^32, by square
+    and multiply in plain uint64 arithmetic: products below m^2 < 2^64 are
+    exact."""
+    x = np.ones_like(m)
+    for i in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        x = x * x % m
+        x = np.where((e >> np.uint64(i)) & np.uint64(1), x * a % m, x)
+    return x
+
+
 def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
     """nu(p) for prime p, or for each lane of a uint64 array of primes below
     2^32, without computing the roots themselves.
 
     For p = 2, 3 and p == 2 (mod 3) cubing is a bijection so nu(p) = 1; for
     p == 1 (mod 3) the count is 3 or 0 by the cubic-residue character of -2,
-    (p-2)^((p-1)/3) mod p. On lanes the character is taken by square and
-    multiply in plain uint64 arithmetic, where products below p^2 < 2^64 are
-    exact.
+    (p-2)^((p-1)/3) mod p, taken on lanes by _pow_lanes.
     """
     if not isinstance(p, np.ndarray):
         if p in (2, 3) or p % 3 == 2:
@@ -307,15 +319,8 @@ def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
         raise DomainError(f"lane primes must lie below 2^32, got {int(p.max())}")
     counts = np.ones(p.shape, dtype=np.int64)
     lanes = np.flatnonzero(p % 3 == 1)
-    if lanes.size:
-        m = p[lanes]
-        a = m - 2
-        e = (m - 1) // 3
-        x = np.ones_like(m)
-        for i in range(int(e.max()).bit_length() - 1, -1, -1):
-            x = x * x % m
-            x = np.where((e >> np.uint64(i)) & np.uint64(1), x * a % m, x)
-        counts[lanes] = np.where(x == 1, 3, 0)
+    m = p[lanes]
+    counts[lanes] = np.where(_pow_lanes(m - 2, (m - 1) // 3, m) == 1, 3, 0)
     return counts
 
 
@@ -464,52 +469,158 @@ def nu_from_factors(factors: Mapping[int, int]) -> int:
 # Root table with optional binary cache
 # ---------------------------------------------------------------------------
 
-class RootTable(NamedTuple):
+@dataclass(frozen=True)
+class RootTable:
+    """The roots of n^3 + 2 == 0 (mod p) for every prime p <= limit, as two
+    aligned uint64 arrays with one entry per root: root r[i] of prime p[i],
+    in prime order and then in increasing root order, which is the order of
+    the cache file. A prime without roots has no entry."""
+
     limit: int
-    roots: dict[int, tuple[int, ...]]
+    p: np.ndarray
+    r: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootTable):
+            return NotImplemented
+        return (
+            self.limit == other.limit
+            and np.array_equal(self.p, other.p)
+            and np.array_equal(self.r, other.r)
+        )
 
 
 _CACHE_MAGIC = b"CRT1"
 _CACHE_VERSION = 1
+_CACHE_HEADER = 16  # magic, version, limit; each entry then takes 9 + 8*nu(p) bytes
 
 
 def build_root_table(limit: int) -> RootTable:
-    """Roots of n^3 + 2 == 0 (mod p) for every prime p <= limit."""
-    return RootTable(limit, {p: cube_roots_of_minus2(p) for p in sieve_primes(limit)})
+    """Roots of n^3 + 2 == 0 (mod p) for every prime p <= limit (below
+    2^32), computed on uint64 lanes by _lane_roots."""
+    return RootTable(limit, *_lane_roots(_prime_array(limit)))
+
+
+def _lane_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table arrays (p, r) of an ascending uint64 array of primes below
+    2^32: for p = 2, 3 and p == 2 (mod 3) the one root (p-2)^((2p-1)/3)
+    mod p, and for the p == 1 (mod 3) with nu(p) = 3 the construction of
+    cube_roots_of_minus2 (_cube_root_triples). Every root is checked to
+    solve the congruence; a failure raises DomainError."""
+    counts = count_cubic_roots(primes)
+    p = np.repeat(primes, counts)
+    r = np.empty_like(p)
+    m = primes[counts == 1]
+    r[np.repeat(counts == 1, counts)] = _pow_lanes(m - 2, (2 * m - 1) // 3, m)
+    r[np.repeat(counts == 3, counts)] = _cube_root_triples(primes[counts == 3]).ravel()
+    bad = (r * r % p * r + 2) % p != 0
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DomainError(f"cube-root construction failed for p={p[j]}")
+    return p, r
+
+
+def _cube_root_triples(p: np.ndarray) -> np.ndarray:
+    """The three roots of n^3 + 2 == 0, ascending, in one row per lane of a
+    uint64 array of primes p == 1 (mod 3) below 2^32 for which -2 is a cube:
+    the 3-Sylow construction of cube_roots_of_minus2, with the digit loop run
+    on the lanes whose Sylow subgroup is still deep enough."""
+    a = p - 2
+    t, u = np.zeros_like(p), p - 1  # p - 1 = 3^t * u
+    while (div := u % 3 == 0).any():
+        t += div
+        u = np.where(div, u // 3, u)
+    # the smallest cubic non-residue z
+    third = (p - 1) // 3
+    z = np.full_like(p, 2)
+    todo = np.flatnonzero(_pow_lanes(z, third, p) == 1)
+    while todo.size:
+        z[todo] += 1
+        todo = todo[_pow_lanes(z[todo], third[todo], p[todo]) == 1]
+    g = _pow_lanes(z, u, p)  # order exactly 3^t
+    inv3 = np.where(u % 3 == 1, 2 * u + 1, u + 1) // 3  # 3^-1 mod u
+    x = _pow_lanes(a, inv3, p)
+    # e = x^3 / a lies in <g> and is a cube there; divide its cube root out
+    e = x * x % p * x % p * _pow_lanes(a, p - 2, p) % p
+    gamma = _pow_lanes(g, 3 ** (t - 1), p)
+    w = np.zeros_like(p)
+    for i in range(int(t.max(initial=0))):
+        lanes = np.flatnonzero(t > i)
+        m, ti = p[lanes], t[lanes]
+        d = _pow_lanes(e[lanes], 3 ** (ti - 1 - i), m)
+        digit = np.where(d == 1, 0, np.where(d == gamma[lanes], 1, 2)).astype(np.uint64)
+        w[lanes] += digit * 3**i
+        e[lanes] = e[lanes] * _pow_lanes(g[lanes], 3**ti - digit * 3**i, m) % m
+    x = x * _pow_lanes(g, (3**t - w) // 3, p) % p
+    xg = x * gamma % p
+    return np.sort(np.stack([x, xg, xg * gamma % p], axis=1), axis=1)
+
+
+def _layout(counts: np.ndarray, prime: int, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Byte offsets in a cache file of the entries of consecutive primes with
+    these root counts, and of each of their root words, when the first of
+    them is the file's prime number `prime` and its first root the file's
+    root number `root` (both counted from 0)."""
+    before = np.cumsum(counts) - counts + root  # roots ahead of each entry
+    ahead = _CACHE_HEADER + 9 * np.arange(prime, prime + counts.size)
+    entries = ahead + 8 * before
+    roots = np.repeat(ahead + 9, counts) + 8 * np.arange(root, root + int(counts.sum()))
+    return entries, roots
+
+
+def _word_bytes(a: np.ndarray) -> np.ndarray:
+    return a.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
 def save_root_table(path: str, table: RootTable) -> None:
-    """Binary cache: 16-byte header (magic, version, prime limit), then per
-    prime ascending: p as 8-byte little-endian, root count byte, roots as
-    8-byte little-endian each.
+    """Binary cache (version 1): 16-byte header (magic, version, prime
+    limit), then per prime p <= limit ascending: p as 8-byte little-endian,
+    root count byte, roots as 8-byte little-endian each.
 
-    The file is written beside path and then renamed over it, so an
-    interrupted run never leaves a truncated cache behind."""
+    The file is filled as one buffer by numpy scatters, written beside path
+    and then renamed over it, so an interrupted run never leaves a truncated
+    cache behind. A table whose entries are not primes up to its limit, in
+    order, raises DomainError and leaves path as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<I", _CACHE_VERSION))
-            fh.write(struct.pack("<Q", table.limit))
-            for p in sorted(table.roots):
-                roots = table.roots[p]
-                fh.write(struct.pack("<QB", p, len(roots)))
-                for r in roots:
-                    fh.write(struct.pack("<Q", r))
+            fh.write(_cache_buffer(table))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
+def _cache_buffer(table: RootTable) -> np.ndarray:
+    primes = _prime_array(table.limit)
+    counts = np.diff(np.searchsorted(table.p, primes, side="right"), prepend=0)
+    if not (
+        table.r.shape == table.p.shape
+        and np.array_equal(np.repeat(primes, counts), table.p)
+        and counts.max(initial=0) < 256
+    ):
+        raise DomainError(f"table entries are not the primes up to {table.limit} in order")
+    entries, roots = _layout(counts, 0, 0)
+    buf = np.zeros(_CACHE_HEADER + 9 * primes.size + 8 * table.r.size, dtype=np.uint8)
+    header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, table.limit)
+    buf[:_CACHE_HEADER] = np.frombuffer(header, dtype=np.uint8)
+    # the 8-byte window at every byte offset; entries and roots never overlap
+    words = np.lib.stride_tricks.sliding_window_view(buf, 8, writeable=True)
+    words[entries] = _word_bytes(primes)
+    buf[entries + 8] = counts
+    words[roots] = _word_bytes(table.r)
+    return buf
+
+
 def load_root_table(path: str) -> RootTable:
     """Read a cache written by save_root_table, checked against the sieve:
     the entries must be exactly the primes up to the header's limit (at most
     MAX_RANGE_TOP), each with nu(p) roots, strictly increasing, that solve
-    n^3 + 2 == 0 (mod p). Anything else raises DomainError."""
+    n^3 + 2 == 0 (mod p). Anything else raises DomainError. The root words
+    are read straight into the table's arrays, a block of primes at a time."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 16 or data[:4] != _CACHE_MAGIC:
+    if len(data) < _CACHE_HEADER or data[:4] != _CACHE_MAGIC:
         raise DomainError(f"{path}: not a root-table cache")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != _CACHE_VERSION:
@@ -523,16 +634,16 @@ def load_root_table(path: str) -> RootTable:
     def word(at: np.ndarray) -> np.ndarray:
         return words[at].view("<u8").ravel()
 
-    roots: dict[int, tuple[int, ...]] = {}
-    end = 16
+    ps, rs = [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)]
+    n_roots = 0
+    end = _CACHE_HEADER
     for start, primes, counts in _nu_blocks(_prime_array(limit)):
-        # entry start + j should take 9 + 8*counts[j] bytes from offset offs[j]
-        sizes = 9 + 8 * counts
-        offs = np.cumsum(sizes) + (end - sizes)
-        end = int(offs[-1] + sizes[-1])
+        entries, at = _layout(counts, start, n_roots)
+        n_roots += at.size
+        end = _CACHE_HEADER + 9 * (start + primes.size) + 8 * n_roots
         # compare every entry whose prime and count byte lie inside the file,
         # so that a missing or extra entry is named even when the length is wrong
-        inside = offs[: np.searchsorted(offs, len(data) - 9, side="right")]
+        inside = entries[: np.searchsorted(entries, len(data) - 9, side="right")]
         n = inside.size
         wrong = (word(inside) != primes[:n]) | (raw[inside + 8] != counts[:n])
         if wrong.any():
@@ -542,22 +653,17 @@ def load_root_table(path: str) -> RootTable:
             )
         if end > len(data):
             raise DomainError(f"{path}: truncated at byte {len(data)}")
-        roots.update(dict.fromkeys(primes.tolist(), ()))  # in prime order
-        for c in (1, 3):  # nu(p) is 0, 1 or 3
-            at = np.flatnonzero(counts == c)
-            p = primes[at]
-            cols = [word(offs[at] + 9 + 8 * k) for k in range(c)]
-            for k, r in enumerate(cols):
-                bad = (r >= p) | ((r * r % p * r + 2) % p != 0)
-                if k:
-                    bad |= r <= cols[k - 1]
-                if bad.any():
-                    j = int(np.argmax(bad))
-                    raise DomainError(f"{path}: invalid root {r[j]} for p={p[j]}")
-            roots.update(zip(p.tolist(), zip(*(r.tolist() for r in cols))))
+        p, r = np.repeat(primes, counts), word(at)
+        bad = (r >= p) | ((r * r % p * r + 2) % p != 0)
+        bad[1:] |= (p[1:] == p[:-1]) & (r[1:] <= r[:-1])
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DomainError(f"{path}: invalid root {r[j]} for p={p[j]}")
+        ps.append(p)
+        rs.append(r)
     if len(data) > end:
         raise DomainError(f"{path}: {len(data) - end} bytes after the last prime")
-    return RootTable(limit, roots)
+    return RootTable(limit, np.concatenate(ps), np.concatenate(rs))
 
 
 # ---------------------------------------------------------------------------
@@ -713,26 +819,21 @@ def _sieved_segments(
     left of (lo+i)^3 + 2, found[i] maps the stripped primes to
     multiplicities and above[i] counts those >= job.threshold with
     multiplicity.
-    Roots' progressions for primes above the segment size are kept in
-    per-segment buckets so each prime is touched only at its actual hits.
+    Roots of primes up to the segment size are walked in every segment. For
+    the larger primes one array holds each root's next hit n >= x_min + 1,
+    and a root whose first hit lies past x_max is dropped: such a prime hits
+    a segment at most once, so each segment strips the hits up to its end
+    and advances them by p.
     """
     base = job.x_min + 1
     seg = job.segment_size
     threshold = job.threshold
-    smalls = [
-        (p, r)
-        for p, roots in table.roots.items()
-        if roots and p <= seg
-        for r in roots
-    ]
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for p, roots in table.roots.items():
-        if p <= seg or not roots:
-            continue
-        for r in roots:
-            n0 = base + (r - base) % p
-            if n0 <= job.x_max:
-                buckets.setdefault((n0 - base) // seg, []).append((p, n0))
+    small = table.p <= seg
+    smalls = list(zip(table.p[small].tolist(), table.r[small].tolist()))
+    big = table.p[~small].astype(np.int64)
+    hits = base + (table.r[~small].astype(np.int64) - base) % big
+    keep = hits <= job.x_max
+    big, hits = big[keep], hits[keep]
 
     n_segments = (job.x_max - job.x_min + seg - 1) // seg
     for si in range(n_segments):
@@ -758,12 +859,10 @@ def _sieved_segments(
         for p, r in smalls:
             for n in range(lo + (r - lo) % p, hi + 1, p):
                 strip(n - lo, p)
-        for p, n in buckets.pop(si, ()):
-            while n <= hi:
-                strip(n - lo, p)
-                n += p
-            if n <= job.x_max:
-                buckets.setdefault((n - base) // seg, []).append((p, n))
+        now = np.flatnonzero(hits <= hi)
+        for p, n in zip(big[now].tolist(), hits[now].tolist()):
+            strip(n - lo, p)
+        hits[now] += big[now]
         yield lo, hi, residual, found, above
 
 

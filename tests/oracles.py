@@ -4,11 +4,13 @@ These deliberately avoid the production code paths: the exponential integral
 comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), the
 factorisations and primes from plain trial division, the prime sum from a
 loop over one prime at a time, the congruence-root counts from direct residue
-enumeration, and the exact region integrals behind the bound coefficients
-from Monte Carlo sampling.
+enumeration, the exact region integrals behind the bound coefficients
+from Monte Carlo sampling, and the root-table cache file from a struct loop
+over one prime at a time.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -120,6 +122,21 @@ def cubic_roots_enumerate(p: int) -> tuple[int, ...]:
     n = np.arange(p, dtype=np.int64)
     hits = np.nonzero(((n * n % p) * n % p + 2) % p == 0)[0]
     return tuple(int(r) for r in hits)
+
+
+def write_root_cache_v1(path, limit: int, roots: dict[int, tuple[int, ...]]) -> None:
+    """Reference writer of the version-1 root-table cache: a 16-byte header
+    (magic, version, prime limit), then for each prime of roots ascending, p
+    as 8-byte little-endian, the root count byte, and the roots as 8-byte
+    little-endian each. Writes whatever roots holds, valid or not."""
+    with open(path, "wb") as fh:
+        fh.write(b"CRT1")
+        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<Q", limit))
+        for p in sorted(roots):
+            fh.write(struct.pack("<QB", p, len(roots[p])))
+            for r in roots[p]:
+                fh.write(struct.pack("<Q", r))
 
 
 def region_integral_mc(

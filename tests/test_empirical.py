@@ -1,7 +1,6 @@
 import math
 import os
 import random
-import struct
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from oracles import (
     prime_sum_loop,
     primes_by_trial_division,
     trial_factor,
+    write_root_cache_v1,
 )
 
 
@@ -229,6 +229,41 @@ def test_lane_cubic_root_counts_match_scalar_near_the_caps():
     assert set(lanes) == {0, 1, 3}
     with pytest.raises(DomainError):
         count_cubic_roots(np.array([5, 4_294_967_311], dtype=np.uint64))  # above 2^32
+
+
+def _flat(table):
+    return list(zip(table.p.tolist(), table.r.tolist()))
+
+
+def test_root_table_matches_enumeration(roots_enum_1e5):
+    table = build_root_table(10**5)
+    assert table.p.dtype == table.r.dtype == np.uint64
+    assert _flat(table) == [(p, r) for p, roots in roots_enum_1e5.items() for r in roots]
+
+
+def test_root_table_matches_scalar_roots_for_small_limits():
+    for limit in range(301):
+        table = build_root_table(limit)
+        assert table.limit == limit
+        want = [(p, r) for p in sieve_primes(limit) for r in cube_roots_of_minus2(p)]
+        assert _flat(table) == want, limit
+
+
+def test_lane_roots_match_scalar_where_the_sylow_subgroup_is_deepest():
+    # below 1e7, v_3(p-1) reaches 12 (3^12 = 531441): the digit loop then
+    # runs twelve rounds on a few lanes and one on most
+    primes = empirical._prime_array(10**7)
+    deep = primes[(primes - 1) % 3**10 == 0].tolist()
+    assert {8_503_057, 5_314_411} <= set(deep)
+    rng = random.Random(20141202)
+    near_cap = rng.sample(primes[primes > 10**7 - 10**5].tolist(), 1500)
+    lanes = np.array(sorted(deep + near_cap), dtype=np.uint64)
+    p, r = empirical._lane_roots(lanes)
+    want = [(q, x) for q in lanes.tolist() for x in cube_roots_of_minus2(q)]
+    assert list(zip(p.tolist(), r.tolist())) == want
+    # every lane's root is checked: 9 is no prime, and 7^5 mod 9 no root
+    with pytest.raises(DomainError, match="p=9"):
+        empirical._lane_roots(np.array([2, 3, 9], dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +510,36 @@ def test_root_table_cache_roundtrip(tmp_path):
     save_root_table(str(path), table)
     loaded = load_root_table(str(path))
     assert loaded == table
+    assert loaded != build_root_table(10_001)  # the same primes, another limit
+    assert loaded != RootTable(table.limit, table.p, table.r ^ np.uint64(1))
     # header is exactly 16 bytes: magic, version, limit
     raw = path.read_bytes()
     assert raw[:4] == b"CRT1"
     assert int.from_bytes(raw[8:16], "little") == 10_000
+
+
+def _scalar_roots(limit):
+    return {p: cube_roots_of_minus2(p) for p in sieve_primes(limit)}
+
+
+def test_saved_cache_matches_the_reference_writer(tmp_path, roots_enum_1e5):
+    want, got = tmp_path / "want.bin", tmp_path / "got.bin"
+    for limit in [*range(301), 10**4, 10**5 + 3]:
+        roots = {
+            p: roots_enum_1e5[p] if p in roots_enum_1e5 else cubic_roots_enumerate(p)
+            for p in sieve_primes(limit)
+        }
+        write_root_cache_v1(want, limit, roots)
+        table = build_root_table(limit)
+        save_root_table(str(got), table)
+        assert got.read_bytes() == want.read_bytes(), limit
+        assert load_root_table(str(want)) == table
+
+
+def _reload(tmp_path, limit, roots):
+    path = tmp_path / "roots.bin"
+    write_root_cache_v1(path, limit, roots)
+    return load_root_table(str(path))
 
 
 def test_root_table_cache_rejects_garbage(tmp_path):
@@ -486,9 +547,8 @@ def test_root_table_cache_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(DomainError):
         load_root_table(str(path))
-    table = build_root_table(100)
     good = tmp_path / "good.bin"
-    save_root_table(str(good), table)
+    write_root_cache_v1(good, 100, _scalar_roots(100))
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(DomainError):
@@ -496,33 +556,27 @@ def test_root_table_cache_rejects_garbage(tmp_path):
 
 
 def test_root_table_cache_rejects_a_cut_between_entries(tmp_path):
-    table = build_root_table(100)
+    roots = _scalar_roots(100)
     path = tmp_path / "roots.bin"
-    save_root_table(str(path), table)
-    last_entry = 9 + 8 * len(table.roots[97])
+    write_root_cache_v1(path, 100, roots)
+    last_entry = 9 + 8 * len(roots[97])
     path.write_bytes(path.read_bytes()[:-last_entry])
     with pytest.raises(DomainError):
         load_root_table(str(path))
-
-
-def _reload(tmp_path, limit, roots):
-    path = tmp_path / "roots.bin"
-    save_root_table(str(path), RootTable(limit, roots))
-    return load_root_table(str(path))
 
 
 @pytest.mark.parametrize("p", [5, 1009])
 def test_root_table_cache_rejects_a_missing_prime(tmp_path, p):
     # without p = 5 every n == 2 (mod 5) keeps 5 in its residual, and
     # factor_range reports composite "prime" factors such as 25
-    roots = dict(build_root_table(2000).roots)
+    roots = _scalar_roots(2000)
     del roots[p]
     with pytest.raises(DomainError, match=f"p={p}"):
         _reload(tmp_path, 2000, roots)
 
 
 def test_root_table_cache_rejects_a_dropped_root(tmp_path):
-    roots = dict(build_root_table(2000).roots)
+    roots = _scalar_roots(2000)
     p = min(q for q, rs in roots.items() if len(rs) == 3)
     roots[p] = roots[p][:2]  # saved with count byte 2
     with pytest.raises(DomainError, match=f"p={p}"):
@@ -530,7 +584,7 @@ def test_root_table_cache_rejects_a_dropped_root(tmp_path):
 
 
 def test_root_table_cache_rejects_a_repeated_root(tmp_path):
-    roots = dict(build_root_table(2000).roots)
+    roots = _scalar_roots(2000)
     p = max(q for q, rs in roots.items() if len(rs) == 3)
     r0, r1, _ = roots[p]
     roots[p] = (r0, r1, r1)  # three valid roots, so only their order tells
@@ -547,8 +601,9 @@ def test_failed_save_keeps_the_old_cache(tmp_path):
     path = tmp_path / "roots.bin"
     save_root_table(str(path), build_root_table(100))
     before = path.read_bytes()
-    with pytest.raises(struct.error):
-        save_root_table(str(path), RootTable(200, {2: (0,), 3: (-1,)}))
+    p, r = np.array([2, 4], dtype=np.uint64), np.array([0, 2], dtype=np.uint64)  # 4 is no prime
+    with pytest.raises(DomainError, match="not the primes"):
+        save_root_table(str(path), RootTable(200, p, r))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["roots.bin"]
 
