@@ -24,6 +24,7 @@ from .lognum import (
     from_fraction,
     from_real,
     ln_add,
+    ln_div,
     ln_mul,
     ln_pow_int,
     ln_sub,
@@ -116,10 +117,10 @@ def _per_h_entry(cfg: AggregateConfig, h: int, method: str) -> PerHTerm:
         detail = second_bound_detail(h, cfg.delta, K, cfg.quadrature)
         coeff = detail.total
         choices = detail.tilt_choices
-    weight = LogNumber(1, math.log(min(h, cfg.inv_delta_floor)) + h * _LN2)
+    # the weight min(h, [1/delta]) * 2^h is that of the proportion at H = h, inverted
     return PerHTerm(
         h=h, method=method, K=K, coefficient=coeff,
-        weighted=ln_mul(weight, coeff), tilt_choices=choices,
+        weighted=ln_div(coeff, proportion_weight(h, cfg.delta)), tilt_choices=choices,
     )
 
 
@@ -139,6 +140,12 @@ def weighted_tail(
         )
     terms = [_per_h_entry(cfg, h, method) for h in range(h_from, h_to + 1)]
     return ln_sum(t.weighted for t in terms), terms
+
+
+def proportion_weight(H: int, delta: Fraction) -> LogNumber:
+    """The weight 2^(-H)/min(H, [1/delta]) that turns the margin
+    S_lower - tail_total into the proportion alpha."""
+    return LogNumber(1, -H * _LN2 - math.log(min(H, delta.denominator // delta.numerator)))
 
 
 def _assemble_report(
@@ -176,10 +183,7 @@ def _assemble_report(
             **common,
         )
 
-    weight = LogNumber(
-        1, -cfg.H * _LN2 - math.log(min(cfg.H, cfg.inv_delta_floor))
-    )
-    alpha = ln_mul(weight, margin)
+    alpha = ln_mul(proportion_weight(cfg.H, cfg.delta), margin)
     varpi = ln_mul(alpha, from_fraction(cfg.delta / 2))
     count = ln_mul(from_fraction(cfg.delta), ln_pow_int(alpha, 2))
     return AggregateReport(

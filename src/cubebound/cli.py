@@ -31,13 +31,12 @@ from .aggregate import (
     AggregateReport,
     display_round,
     final_constants,
+    proportion_weight,
 )
 from .bounds import clamped_K, first_bound, second_bound_detail
 from .errors import DomainError, FactorizationError, PrecisionError
-from .lognum import LogNumber, from_real, ln_add, ln_mul
+from .lognum import LogNumber, from_real, ln_add, ln_div
 from .quadrature import QuadratureSpec
-
-_LN2 = math.log(2.0)
 
 # the five reference constants the reproduction run is judged against
 REFERENCE_LIMITS = {
@@ -243,12 +242,8 @@ def _reproduce_checks(report: AggregateReport) -> list[dict]:
             }
         )
     if report.ok:
-        inv_weight = LogNumber(
-            1,
-            report.H * _LN2
-            + math.log(min(report.H, report.delta.denominator // report.delta.numerator)),
-        )
-        lhs = ln_add(ln_mul(inv_weight, report.alpha_proportion), report.tail_total)
+        weighted = ln_div(report.alpha_proportion, proportion_weight(report.H, report.delta))
+        lhs = ln_add(weighted, report.tail_total)
         rel = abs(lhs.to_real() / report.S_lower - 1.0) if report.S_lower else math.inf
         identity_ok = rel <= _IDENTITY_REL_TOL
         computed = f"relative error {rel:.3e}"

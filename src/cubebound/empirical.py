@@ -9,10 +9,9 @@ roots of n^3+2 == 0 (mod p), the roots' arithmetic progressions are marked
 across segments and p is divided out at the hits; the remaining cofactor has
 at most two prime factors, all above the table limit (the limit is at least
 n, and three factors above n would exceed (n+1)^3 > n^3+2), and is certified
-prime or split. Counting decides each n from its sieved count and tests the
-cofactor only when it can change the verdict. Segments are independent work
-units; counting runs can be spread over processes and reduced by exact
-integer sums.
+prime or split once. Counting decides each n from its sieved count and
+tests the cofactor only when it can change the verdict. Everything runs in
+one process, a segment at a time.
 
 Each segment's cofactors are classified in one batch: Miller-Rabin with the
 same witness ladder, and Pollard-Brent with every walk in lockstep, run in
@@ -33,8 +32,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -496,8 +494,11 @@ _CACHE_HEADER = 16  # magic, version, limit; each entry then takes 9 + 8*nu(p) b
 
 
 def build_root_table(limit: int) -> RootTable:
-    """Roots of n^3 + 2 == 0 (mod p) for every prime p <= limit (below
-    2^32), computed on uint64 lanes by _lane_roots."""
+    """Roots of n^3 + 2 == 0 (mod p) for every prime p <= limit, computed on
+    uint64 lanes by _lane_roots. The limit is capped at MAX_RANGE_TOP, as
+    for the caches load_root_table reads."""
+    if limit > MAX_RANGE_TOP:
+        raise DomainError(f"prime limit is capped at {MAX_RANGE_TOP}, got {limit}")
     return RootTable(limit, *_lane_roots(_prime_array(limit)))
 
 
@@ -706,15 +707,6 @@ class FactorProfile:
         return sum(e for p, e in self.factors if p >= t)
 
 
-def _icbrt(n: int) -> int:
-    c = round(n ** (1.0 / 3.0))
-    while c * c * c > n:
-        c -= 1
-    while (c + 1) ** 3 <= n:
-        c += 1
-    return c
-
-
 def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
     """A non-trivial divisor of composite v (Brent's cycle variant with a
     deterministic parameter march, so output streams are reproducible).
@@ -771,54 +763,50 @@ def _pollard_brent(values: list[int], ns: Sequence[int]) -> list[int]:
 
 
 def _cofactor_primes(
-    cofactors: Sequence[int], ns: Sequence[int], floor: int = 0
+    cofactors: Sequence[int], ns: Sequence[int], limit: int
 ) -> list[tuple[int, int]]:
     """(i, p) for every prime factor p of cofactors[i], with multiplicity,
-    when all of them exceed floor (ns[i] is the n whose value cofactors[i]
-    divides, for errors).
+    where cofactors[i] is what the sieve left of ns[i]^3 + 2 after stripping
+    every prime up to limit >= ns[i].
 
-    Certify prime (immediate when the value fits below floor^2), peel
-    perfect squares and cubes, otherwise split and go round again with both
-    parts; each round tests, and then splits, all its values together.
+    So each cofactor is 1, a prime or a product of two primes above limit,
+    and a value up to limit^2 is prime. The larger values are certified in
+    one batch; a composite one is a square or splits once by _pollard_brent.
+    A part above limit^2 would have more prime factors, which the sieve
+    rules out, and raises FactorizationError.
     """
-    sq = floor * floor
-    out = []
-    todo = [(i, v) for i, v in enumerate(cofactors) if v > 1]
-    while todo:
-        tested = [v for _, v in todo if v > sq]
-        verdicts = iter(is_certified_prime(tested) if tested else ())
-        composite = []
-        nxt = []
-        for i, v in todo:
-            if v <= sq or next(verdicts):
-                out.append((i, v))
-                continue
-            r = isqrt(v)
-            if r * r == v:
-                nxt += [(i, r)] * 2
-                continue
-            c = _icbrt(v)
-            if c * c * c == v:
-                nxt += [(i, c)] * 3
-            else:
-                composite.append((i, v))
-        if composite:
-            split = _pollard_brent([v for _, v in composite], [ns[i] for i, _ in composite])
-            for (i, v), d in zip(composite, split):
-                nxt += [(i, d), (i, v // d)]
-        todo = nxt
+    sq = limit * limit
+    out = [(i, v) for i, v in enumerate(cofactors) if 1 < v <= sq]
+    tested = [(i, v) for i, v in enumerate(cofactors) if v > sq]
+    verdicts = is_certified_prime([v for _, v in tested]) if tested else []
+    splits, composite = [], []
+    for (i, v), prime in zip(tested, verdicts):
+        if prime:
+            out.append((i, v))
+        elif (r := isqrt(v)) * r == v:
+            splits.append((i, v, r))
+        else:
+            composite.append((i, v))
+    if composite:
+        divisors = _pollard_brent([v for _, v in composite], [ns[i] for i, _ in composite])
+        splits += [(i, v, d) for (i, v), d in zip(composite, divisors)]
+    for i, v, d in splits:
+        if max(d, v // d) > sq:
+            raise FactorizationError(ns[i], f"cofactor {v} has more than two prime factors")
+        out += [(i, d), (i, v // d)]
     return out
 
 
 def _sieved_segments(
-    job: RangeJob, table: RootTable
+    job: RangeJob, table: RootTable, progress: Callable[[int, int], None] | None
 ) -> Iterator[tuple[int, int, list[int], list[dict[int, int]], list[int]]]:
     """Strip every table prime from each segment of (x_min, x_max].
 
     Yields (lo, hi, residuals, found, above) where residuals[i] is what is
     left of (lo+i)^3 + 2, found[i] maps the stripped primes to
     multiplicities and above[i] counts those >= job.threshold with
-    multiplicity.
+    multiplicity; progress(lo, hi) fires once the caller has taken the
+    segment in and asks for the next.
     Roots of primes up to the segment size are walked in every segment. For
     the larger primes one array holds each root's next hit n >= x_min + 1,
     and a root whose first hit lies past x_max is dropped: such a prime hits
@@ -864,6 +852,18 @@ def _sieved_segments(
             strip(n - lo, p)
         hits[now] += big[now]
         yield lo, hi, residual, found, above
+        if progress is not None:
+            progress(lo, hi)
+
+
+def _covering_table(job: RangeJob, table: RootTable | None) -> RootTable:
+    """table, or the root table up to job.x_max when it is None; a table
+    that stops short of job.x_max raises DomainError."""
+    if table is None:
+        return build_root_table(job.x_max)
+    if table.limit < job.x_max:
+        raise DomainError(f"root table covers primes to {table.limit}, need {job.x_max}")
+    return table
 
 
 def factor_range(
@@ -877,13 +877,8 @@ def factor_range(
     is yielded; a verification failure (or an unsplittable cofactor) raises
     FactorizationError rather than passing silently.
     """
-    if table is None:
-        table = build_root_table(job.x_max)
-    elif table.limit < job.x_max:
-        raise DomainError(
-            f"root table covers primes to {table.limit}, need {job.x_max}"
-        )
-    for lo, hi, residual, found, _ in _sieved_segments(job, table):
+    table = _covering_table(job, table)
+    for lo, hi, residual, found, _ in _sieved_segments(job, table, progress):
         for idx, p in _cofactor_primes(residual, range(lo, hi + 1), table.limit):
             found[idx][p] = found[idx].get(p, 0) + 1
         for idx, fac in enumerate(found):
@@ -896,26 +891,25 @@ def factor_range(
             if check != value:
                 raise FactorizationError(n, f"reconstruction mismatch: {factors}")
             yield FactorProfile(n=n, value=value, factors=factors)
-        if progress is not None:
-            progress(lo, hi)
 
 
-def _count_range(
+def empirical_T(
     job: RangeJob,
-    table: RootTable,
+    table: RootTable | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> int:
-    if table.limit < job.x_max:
-        raise DomainError(
-            f"root table covers primes to {table.limit}, need {job.x_max}"
-        )
+    """Exact count of n in (x_min, x_max] whose value has at least h prime
+    factors >= threshold (with multiplicity), segment by segment in one
+    process; progress(lo, hi) fires after each segment.
+    """
+    table = _covering_table(job, table)
     # Every prime up to limit >= n has been stripped, so a residual m > 1 is a
     # prime or a product of two primes, all above limit: it adds one or two
     # factors and is looked at only when the sieved count om is h-1 or h-2.
     h, threshold, limit = job.h, job.threshold, table.limit
     split = threshold > limit + 1  # residual factors may fall below the threshold
     count = 0
-    for lo, hi, residual, _, above in _sieved_segments(job, table):
+    for lo, hi, residual, _, above in _sieved_segments(job, table, progress):
         tested, open_ = [], []
         for idx, (m, om) in enumerate(zip(residual, above)):
             if om >= h:
@@ -937,49 +931,20 @@ def _count_range(
         for j, p in _cofactor_primes(ms, [lo + i for i, _ in open_], limit):
             added[j] += p >= threshold
         count += sum(a >= need for a, (_, need) in zip(added, open_))
-        if progress is not None:
-            progress(lo, hi)
-    return count
-
-
-def empirical_T(
-    job: RangeJob,
-    table: RootTable | None = None,
-    jobs: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> int:
-    """Exact count of n in (x_min, x_max] whose value has at least h prime
-    factors >= threshold (with multiplicity).
-
-    With jobs > 1 the range is split into contiguous chunks counted in
-    separate processes; the reduction is an order-independent integer sum,
-    and progress(lo, hi) fires once per chunk as it completes, rather than
-    once per segment.
-    """
-    if table is None:
-        table = build_root_table(job.x_max)
-    span = job.x_max - job.x_min
-    if jobs <= 1 or span < 2:
-        return _count_range(job, table, progress)
-    per = (span + jobs - 1) // jobs
-    chunks = [
-        replace(job, x_min=lo, x_max=min(lo + per, job.x_max))
-        for lo in range(job.x_min, job.x_max, per)
-    ]
-    count = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending = {pool.submit(_count_range, chunk, table): chunk for chunk in chunks}
-        for done in as_completed(pending):
-            count += done.result()
-            if progress is not None:
-                chunk = pending[done]
-                progress(chunk.x_min + 1, chunk.x_max)
     return count
 
 
 # ---------------------------------------------------------------------------
 # Prime-sum estimate
 # ---------------------------------------------------------------------------
+
+def _check_prime_sum_limit(x: int) -> None:
+    """The prime sums run over primes up to x with 2 <= x <= 1e8."""
+    if x < 2:
+        raise DomainError(f"x must be at least 2, got {x}")
+    if x > 10**8:
+        raise DomainError(f"x is capped at 1e8, got {x}")
+
 
 def mertens_check(
     x: int, checkpoints: Iterable[int] | None = None
@@ -992,10 +957,7 @@ def mertens_check(
     the terms are added strictly in prime order, so the deviations equal
     those of a loop over one prime at a time, bit for bit.
     """
-    if x < 2:
-        raise DomainError(f"x must be at least 2, got {x}")
-    if x > 10**8:
-        raise DomainError(f"x is capped at 1e8, got {x}")
+    _check_prime_sum_limit(x)
     if checkpoints is None:
         cps = [10**j for j in range(1, 9) if 10**j < x]
         cps.append(x)
@@ -1025,9 +987,8 @@ def mertens_check(
 
 
 def mean_nu(limit: int) -> float:
-    """Average of nu(p) over primes p <= limit."""
+    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
+    _check_prime_sum_limit(limit)
     primes = _prime_array(limit)
-    if not primes.size:
-        raise DomainError(f"no primes up to {limit}")
     return sum(int(nus.sum()) for _, _, nus in _nu_blocks(primes)) / primes.size
 

@@ -234,6 +234,11 @@ heavy = {"numpy", "concurrent.futures.process"}
 assert not heavy & set(sys.modules), heavy & set(sys.modules)
 assert cubebound.factor_range is cubebound.empirical.factor_range
 assert "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    argv = ["empirical", "count", "--x-min", "1000", "--x-max", "3000", "--threshold", "17",
+            "--h", "2", "--segment-size", "512", "--timestamp", "T"]
+    assert cubebound.cli.main(argv) == 0
+assert "concurrent.futures.process" not in sys.modules
 names = {}
 exec("from cubebound import *", names)
 assert set(cubebound.__all__) <= set(names)

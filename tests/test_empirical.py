@@ -331,24 +331,6 @@ def test_counting_path_matches_profile_path():
         assert empirical_T(job, table) == via_profiles, (threshold, h)
 
 
-def test_parallel_count_matches_serial():
-    job = RangeJob(x_min=1000, x_max=4000, threshold=17, h=2, segment_size=512)
-    table = build_root_table(4000)
-    assert empirical_T(job, table, jobs=2) == empirical_T(job, table, jobs=1)
-
-
-def test_parallel_progress_tiles_the_range():
-    seen = []
-    job = RangeJob(x_min=1000, x_max=4001, threshold=17, h=2, segment_size=512)
-    table = build_root_table(4001)
-    got = empirical_T(job, table, jobs=2, progress=lambda lo, hi: seen.append((lo, hi)))
-    assert got == empirical_T(job, table)
-    seen.sort()
-    assert len(seen) == 2
-    assert seen[0][0] == 1001 and seen[-1][1] == 4001
-    assert all(a[1] + 1 == b[0] for a, b in zip(seen, seen[1:]))
-
-
 # exact factorisations of n^3+2 over two windows: trial division on the
 # small one, the profile path on the larger one
 _WINDOWS = {(0, 300): "trial", (2000, 3000): "profiles"}
@@ -482,6 +464,26 @@ def test_short_table_rejected():
         list(factor_range(RangeJob(x_min=100, x_max=400, threshold=2, h=0), table))
 
 
+def test_square_residual_is_split_into_its_prime():
+    # 46156^3 + 2 = 2 * 3 * 1307 * 111977^2: with primes to 1e5 stripped the
+    # residual is the square of a prime above the table limit
+    table = build_root_table(10**5)
+    job = RangeJob(x_min=46100, x_max=46200, threshold=2, h=0)
+    factors = {p.n: dict(p.factors) for p in factor_range(job, table)}
+    assert factors[46156] == {2: 1, 3: 1, 1307: 1, 111977: 2}
+    assert factors[46156] == sympy.factorint(46156**3 + 2)
+
+
+def test_cofactor_with_three_primes_above_the_limit_is_rejected():
+    # the sieve leaves at most two prime factors above limit >= n; a cofactor
+    # with three must not be split further as if it could occur
+    limit = 1000
+    p, q, r = 1009, 1013, 1019
+    assert sorted(empirical._cofactor_primes([p * q], [999], limit)) == [(0, p), (0, q)]
+    with pytest.raises(FactorizationError, match="n=999"):
+        empirical._cofactor_primes([17, p * q * r], [998, 999], limit)
+
+
 def test_range_job_validation():
     with pytest.raises(DomainError):
         RangeJob(x_min=10, x_max=10, threshold=2, h=0)
@@ -494,10 +496,12 @@ def test_range_job_validation():
 
 
 def test_progress_callback():
-    seen = []
     job = RangeJob(x_min=0, x_max=100, threshold=2, h=0, segment_size=30)
-    list(factor_range(job, progress=lambda lo, hi: seen.append((lo, hi))))
-    assert seen == [(1, 30), (31, 60), (61, 90), (91, 100)]
+    for run in (lambda cb: list(factor_range(job, progress=cb)),
+                lambda cb: empirical_T(job, progress=cb)):
+        seen = []
+        run(lambda lo, hi: seen.append((lo, hi)))
+        assert seen == [(1, 30), (31, 60), (61, 90), (91, 100)]
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +669,18 @@ def test_mertens_validation():
         mertens_check(100, checkpoints=[200])
 
 
+def test_caps_are_checked_before_sieving():
+    # a table above MAX_RANGE_TOP would save but never load; the prime sums
+    # share one cap of 1e8
+    with pytest.raises(DomainError, match="capped"):
+        build_root_table(empirical.MAX_RANGE_TOP + 1)
+    for f in (mertens_check, mean_nu):
+        with pytest.raises(DomainError, match="capped at 1e8"):
+            f(10**8 + 1)
+        with pytest.raises(DomainError, match="at least 2"):
+            f(1)
+
+
 # ---------------------------------------------------------------------------
 # desk-scale consistency with the closed-form coefficient
 # ---------------------------------------------------------------------------
@@ -681,6 +697,6 @@ def test_desk_scale_consistency_with_first_bound():
     table = build_root_table(2 * x_min)
     for h in (6, 9):
         job = RangeJob(x_min=x_min, x_max=2 * x_min, threshold=threshold, h=h)
-        proportion = empirical_T(job, table, jobs=2) / x_min
+        proportion = empirical_T(job, table) / x_min
         coefficient = first_bound(h, Fraction(1, 4)).to_real()
         assert proportion <= coefficient + 0.05, (h, proportion, coefficient)
