@@ -46,9 +46,8 @@ from .quadrature import QuadratureSpec, exp_integral
 # the empirical harness needs numpy, so its names are imported on first use
 _EMPIRICAL = (
     "FactorProfile", "RangeJob", "RootTable", "build_root_table",
-    "cube_roots_of_minus2", "count_cubic_roots", "empirical_T",
-    "factor_range", "load_root_table", "mean_nu", "mertens_check", "nu",
-    "nu_from_factors", "roots_mod_prime_power", "save_root_table",
+    "count_cubic_roots", "empirical_T", "factor_range", "load_root_table",
+    "mean_nu", "mertens_check", "nu", "nu_from_factors", "save_root_table",
 )
 
 __all__ = [

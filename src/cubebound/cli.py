@@ -10,7 +10,8 @@ Usage:
 
 Every run prints one JSON document (manifest + result) to stdout; the
 human-readable summary derived from that document goes to stderr. Exit codes:
-0 success/PASS, 1 usage error, 2 computation failure, 3 reproduction FAIL.
+0 success/PASS, 1 usage error, 2 computation failure (an unreadable or
+unwritable cache included), 3 reproduction FAIL.
 Documents are byte-reproducible when --timestamp is pinned. reproduce --jobs N
 is accepted and ignored; the pipeline runs serially.
 """
@@ -291,11 +292,10 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
     # imported here so that bound and reproduce runs never load numpy
     from .empirical import (
         RangeJob,
+        _prime_sums,
         build_root_table,
         empirical_T,
         load_root_table,
-        mean_nu,
-        mertens_check,
         nu,
         save_root_table,
     )
@@ -306,12 +306,12 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
 
     if args.variant == "mertens":
         manifest = _manifest("empirical mertens", {"limit": args.limit}, args.timestamp)
-        deviations = mertens_check(args.limit)
+        deviations, mean = _prime_sums(args.limit)
         result = {
             "limit": args.limit,
             "deviations": [[x, dev] for x, dev in deviations],
             "max_abs_deviation": max(abs(dev) for _, dev in deviations),
-            "mean_nu": mean_nu(args.limit),
+            "mean_nu": mean,
         }
         return manifest, result, 0
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
             manifest, result, code = _cmd_reproduce(args)
         else:
             manifest, result, code = _cmd_empirical(args)
-    except (DomainError, PrecisionError, FactorizationError) as exc:
+    except (DomainError, PrecisionError, FactorizationError, OSError) as exc:
         print(f"cubebound: error: {exc}", file=sys.stderr)
         return 2
     document = json.dumps({"manifest": manifest, "result": result},

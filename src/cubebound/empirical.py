@@ -4,6 +4,11 @@ Factorises every n^3+2 over a range (x_min, x_max], counts prime factors
 above an explicit threshold, counts cubic-congruence roots nu(d), and checks
 the prime-sum estimate sum_{p<=x} nu(p) log p / p = log x + O(1).
 
+nu(d) is counted without the roots: it is multiplicative, nu(p) comes from
+the cubic character of -2, and nu(p^e) = nu(p) for p >= 5, where every root
+is simple and lifts uniquely, while 2 and 3 have one root each and none mod
+4 or 9. The roots themselves are built only for the root table.
+
 The factorisation is sieve-driven: for each prime p in the root table with
 roots of n^3+2 == 0 (mod p), the roots' arithmetic progressions are marked
 across segments and p is divided out at the hits; the remaining cofactor has
@@ -287,7 +292,7 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
 
 
 # ---------------------------------------------------------------------------
-# Roots of n^3 + 2 == 0 modulo primes and prime powers
+# nu(d): root counts of n^3 + 2 == 0 modulo primes and prime powers
 # ---------------------------------------------------------------------------
 
 def _pow_lanes(a: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -334,84 +339,6 @@ def _nu_blocks(primes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
         yield start, block, count_cubic_roots(block)
 
 
-def cube_roots_of_minus2(p: int) -> tuple[int, ...]:
-    """All n mod p with n^3 + 2 == 0, for prime p.
-
-    p == 2 (mod 3): the unique root is (-2)^((2p-1)/3). p == 1 (mod 3): if -2
-    passes the cubic-residue test, one root is built by a discrete-log fixup
-    inside the 3-Sylow subgroup and the other two follow by the cube roots of
-    unity.
-    """
-    if p == 2:
-        return (0,)
-    if p == 3:
-        return (1,)
-    a = p - 2
-    if p % 3 == 2:
-        return (pow(a, (2 * p - 1) // 3, p),)
-    if pow(a, (p - 1) // 3, p) != 1:
-        return ()
-    t, u = 0, p - 1
-    while u % 3 == 0:
-        t += 1
-        u //= 3
-    z = 2
-    while pow(z, (p - 1) // 3, p) == 1:
-        z += 1
-    g = pow(z, u, p)  # order exactly 3^t
-    x = pow(a, pow(3, -1, u), p)
-    # e = x^3 / a lies in <g> and is a cube there; divide its cube root out
-    e = x * x % p * x % p * pow(a, p - 2, p) % p
-    gamma = pow(g, 3 ** (t - 1), p)
-    w = 0
-    cur = e
-    for i in range(t):
-        d = pow(cur, 3 ** (t - 1 - i), p)
-        if d == 1:
-            digit = 0
-        elif d == gamma:
-            digit = 1
-        else:
-            digit = 2
-        if digit:
-            w += digit * 3**i
-            cur = cur * pow(g, 3**t - digit * 3**i, p) % p
-    x = x * pow(g, (3**t - w) // 3, p) % p
-    if x * x % p * x % p != a:
-        raise DomainError(f"cube-root construction failed for p={p}")
-    return tuple(sorted((x, x * gamma % p, x * gamma % p * gamma % p)))
-
-
-def roots_mod_prime_power(p: int, e: int) -> tuple[int, ...]:
-    """Roots of n^3 + 2 == 0 (mod p^e) by lifting the roots mod p.
-
-    Non-singular roots (3r^2 invertible mod p, every p except 2 and 3) lift
-    uniquely; the singular cases are lifted by direct scan of the p
-    candidates per level.
-    """
-    if e < 1:
-        raise DomainError(f"exponent must be positive, got {e}")
-    roots: Iterable[int] = cube_roots_of_minus2(p)
-    mod = p
-    for _ in range(e - 1):
-        nxt = mod * p
-        lifted = []
-        for r in roots:
-            fr = r * r * r + 2
-            df = 3 * r * r % p
-            if df:
-                step = (-(fr // mod) * pow(df, -1, p)) % p
-                lifted.append(r + step * mod)
-            else:
-                for i in range(p):
-                    cand = r + i * mod
-                    if (cand * cand * cand + 2) % nxt == 0:
-                        lifted.append(cand)
-        roots = lifted
-        mod = nxt
-    return tuple(sorted(r % mod for r in roots))
-
-
 def _trial_factor(d: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in (2, 3):
@@ -430,34 +357,41 @@ def _trial_factor(d: int) -> dict[int, int]:
     return out
 
 
+def _nu_prime_power(p: int, e: int) -> int:
+    """nu(p^e) for prime p and e >= 1, counted without the roots.
+
+    For p >= 5 every root r mod p is simple (3r^2 is a unit, since p does not
+    divide 3 and r^3 == -2 is not 0), so it lifts to exactly one root mod p^e
+    and nu(p^e) = nu(p). For p = 2, 3 the one root mod p does not lift: n^3 + 2
+    == 2 (mod 4) for even n, and -2 == 7 is not a cube mod 9.
+    """
+    if not isinstance(e, (int, np.integer)) or e < 1:
+        raise DomainError(f"exponent must be a positive integer, got {e!r}")
+    return count_cubic_roots(p) if p > 3 or e == 1 else 0
+
+
 def nu(d: int) -> int:
     """Number of n mod d with n^3 + 2 == 0 (mod d).
 
     Multiplicative over coprime parts (Chinese remainder), so d is factorised
-    and the prime-power root counts are multiplied. Direct use is capped at
+    by trial division and counted by nu_from_factors. Direct use is capped at
     d <= 1e9; factor larger d yourself and call nu_from_factors.
     """
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if d > 10**9:
         raise DomainError("d above 1e9; factor it and use nu_from_factors")
-    if d == 1:
-        return 1
-    count = 1
-    for p, e in _trial_factor(d).items():
-        count *= len(roots_mod_prime_power(p, e))
-        if count == 0:
-            return 0
-    return count
+    return nu_from_factors(_trial_factor(d))
 
 
 def nu_from_factors(factors: Mapping[int, int]) -> int:
-    """nu of a prime-factored integer prod p^e (for d beyond the direct cap)."""
+    """nu of a prime-factored integer prod p^e (for d beyond the direct cap):
+    the product of the prime-power counts, each prime certified first."""
     count = 1
     for p, e in factors.items():
         if not is_certified_prime(p):
             raise DomainError(f"{p} is not prime")
-        count *= len(roots_mod_prime_power(p, e))
+        count *= _nu_prime_power(p, e)
         if count == 0:
             return 0
     return count
@@ -505,9 +439,10 @@ def build_root_table(limit: int) -> RootTable:
 def _lane_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The table arrays (p, r) of an ascending uint64 array of primes below
     2^32: for p = 2, 3 and p == 2 (mod 3) the one root (p-2)^((2p-1)/3)
-    mod p, and for the p == 1 (mod 3) with nu(p) = 3 the construction of
-    cube_roots_of_minus2 (_cube_root_triples). Every root is checked to
-    solve the congruence; a failure raises DomainError."""
+    mod p, and for the p == 1 (mod 3) with nu(p) = 3 the three of
+    _cube_root_triples. This is the only construction of the roots; nu
+    counts them without it. Every root is checked to solve the congruence; a
+    failure raises DomainError."""
     counts = count_cubic_roots(primes)
     p = np.repeat(primes, counts)
     r = np.empty_like(p)
@@ -523,9 +458,14 @@ def _lane_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cube_root_triples(p: np.ndarray) -> np.ndarray:
     """The three roots of n^3 + 2 == 0, ascending, in one row per lane of a
-    uint64 array of primes p == 1 (mod 3) below 2^32 for which -2 is a cube:
-    the 3-Sylow construction of cube_roots_of_minus2, with the digit loop run
-    on the lanes whose Sylow subgroup is still deep enough."""
+    uint64 array of primes p == 1 (mod 3) below 2^32 for which -2 is a cube.
+
+    With p - 1 = 3^t * u (3 not dividing u), x = a^(1/3 mod u) for a = -2 is
+    a cube root up to e = x^3/a in the 3-Sylow subgroup <g>, g = z^u for the
+    smallest cubic non-residue z. The base-3 digits of the discrete log of e
+    are read off one at a time, on the lanes whose subgroup is still deep
+    enough, and the cube root of e is divided out of x; the other two roots
+    follow by the cube roots of unity gamma = g^(3^(t-1))."""
     a = p - 2
     t, u = np.zeros_like(p), p - 1  # p - 1 = 3^t * u
     while (div := u % 3 == 0).any():
@@ -938,14 +878,6 @@ def empirical_T(
 # Prime-sum estimate
 # ---------------------------------------------------------------------------
 
-def _check_prime_sum_limit(x: int) -> None:
-    """The prime sums run over primes up to x with 2 <= x <= 1e8."""
-    if x < 2:
-        raise DomainError(f"x must be at least 2, got {x}")
-    if x > 10**8:
-        raise DomainError(f"x is capped at 1e8, got {x}")
-
-
 def mertens_check(
     x: int, checkpoints: Iterable[int] | None = None
 ) -> list[tuple[int, float]]:
@@ -957,7 +889,25 @@ def mertens_check(
     the terms are added strictly in prime order, so the deviations equal
     those of a loop over one prime at a time, bit for bit.
     """
-    _check_prime_sum_limit(x)
+    return _prime_sums(x, checkpoints)[0]
+
+
+def mean_nu(limit: int) -> float:
+    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
+    return _prime_sums(limit)[1]
+
+
+def _prime_sums(
+    x: int, checkpoints: Iterable[int] | None = None
+) -> tuple[list[tuple[int, float]], float]:
+    """(mertens_check(x, checkpoints), mean nu(p) over the primes up to the
+    last checkpoint) from one pass over the primes; the mean is the integer
+    total of nu(p) over the prime count. The primes run up to x, with
+    2 <= x <= 1e8."""
+    if x < 2:
+        raise DomainError(f"x must be at least 2, got {x}")
+    if x > 10**8:
+        raise DomainError(f"x is capped at 1e8, got {x}")
     if checkpoints is None:
         cps = [10**j for j in range(1, 9) if 10**j < x]
         cps.append(x)
@@ -970,6 +920,7 @@ def mertens_check(
     ends = np.searchsorted(primes, np.array(cps, dtype=np.uint64), side="right") - 1
     out: list[tuple[int, float]] = []
     acc = 0.0
+    total = 0
     j = 0
     for start, block, nus in _nu_blocks(primes):
         # the loop's acc += nu*log(p)/p, in the same roundings and order:
@@ -980,15 +931,8 @@ def mertens_check(
         sums[0] += acc
         np.cumsum(sums, out=sums)
         acc = float(sums[-1])
+        total += int(nus.sum())
         while j < len(cps) and ends[j] < start + block.size:
             out.append((cps[j], float(sums[ends[j] - start]) - math.log(cps[j])))
             j += 1
-    return out
-
-
-def mean_nu(limit: int) -> float:
-    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
-    _check_prime_sum_limit(limit)
-    primes = _prime_array(limit)
-    return sum(int(nus.sum()) for _, _, nus in _nu_blocks(primes)) / primes.size
-
+    return out, total / primes.size

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cubebound
-from cubebound import DomainError, build_root_table, load_root_table
+from cubebound import DomainError, build_root_table, load_root_table, mean_nu, mertens_check
 from cubebound.cli import main
 
 
@@ -148,12 +148,29 @@ def test_empirical_count_rebuilds_unreadable_cache(capsys, tmp_path):
     assert load_root_table(str(cache)) == build_root_table(20)
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_empirical_count_cache_io_error_exits_2(capsys, tmp_path, where):
+    # a directory cannot be read as a cache, nor a file written where its
+    # parent is missing: both are computation failures, not tracebacks
+    cache = tmp_path if where == "directory" else tmp_path / "missing" / "roots.bin"
+    code, out, err = run_cli(
+        capsys, "empirical", "count", "--x-min", "10", "--x-max", "20",
+        "--threshold", "2", "--h", "3", "--cache", str(cache), "--timestamp", "T",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cubebound: error:") and str(cache) in err
+
+
 def test_empirical_mertens_cli(capsys):
     code, out, _ = run_cli(capsys, "empirical", "mertens", "--limit", "1000", "--timestamp", "T")
     assert code == 0
     result = doc_of(out)["result"]
     assert result["max_abs_deviation"] <= 3.0
     assert [x for x, _ in result["deviations"]] == [10, 100, 1000]
+    # one pass gives what the two library calls give
+    assert result["deviations"] == [list(row) for row in mertens_check(1000)]
+    assert result["mean_nu"] == mean_nu(1000)
 
 
 def test_reproduce_defaults_pass(capsys, default_report):

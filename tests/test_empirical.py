@@ -13,7 +13,6 @@ from cubebound import (
     RootTable,
     build_root_table,
     count_cubic_roots,
-    cube_roots_of_minus2,
     empirical_T,
     factor_range,
     first_bound,
@@ -22,7 +21,6 @@ from cubebound import (
     mertens_check,
     nu,
     nu_from_factors,
-    roots_mod_prime_power,
     save_root_table,
 )
 from cubebound import empirical
@@ -162,9 +160,16 @@ def test_nu_small_direct():
 
 
 def test_nu_prime_powers_against_enumeration():
-    for p, e in ((2, 2), (2, 5), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (29, 2), (31, 2)):
-        want = nu_enumerate(p**e)
-        assert len(roots_mod_prime_power(p, e)) == want, (p, e)
+    powers = (
+        (2, 2), (2, 5), (3, 2), (3, 4), (5, 2), (5, 3), (5, 8), (7, 2), (7, 5),
+        (11, 4), (13, 3), (29, 2), (29, 4), (31, 2), (31, 3), (43, 3), (109, 2),
+        (127, 3), (997, 2),
+    )
+    # nu(p) is 3 for 31, 43, 109, 127 and 997, 0 for 7 and 13, and 1 for the
+    # other primes from 5 on
+    assert {nu(p) for p, _ in powers if p > 3} == {0, 1, 3}
+    for p, e in powers:
+        assert nu(p**e) == nu_enumerate(p**e), (p, e)
     # the singular primes die at the second power
     assert nu(4) == 0
     assert nu(9) == 0
@@ -191,24 +196,42 @@ def test_nu_validation():
     with pytest.raises(DomainError):
         nu(10**9 + 1)
     with pytest.raises(DomainError):
+        nu(2.0)
+    with pytest.raises(DomainError):
         nu_from_factors({10: 1})
+    for e in (0, -1, 1.5):  # a prime power needs a positive integer exponent
+        with pytest.raises(DomainError, match="exponent"):
+            nu_from_factors({7: e})
 
 
 def test_nu_from_factors_matches_direct():
     assert nu_from_factors({31: 1, 29: 2}) == nu(31 * 29 * 29)
     assert nu_from_factors({2: 1, 3: 1, 11: 1}) == nu(66)
+    assert nu_from_factors({}) == nu(1) == 1
 
 
-def test_cube_roots_match_enumeration_small():
-    for p in sieve_primes(3000):
-        assert cube_roots_of_minus2(p) == cubic_roots_enumerate(p), p
+def _sympy_roots(m):
+    """The roots of n^3 + 2 == 0 (mod m), ascending, by sympy."""
+    return sorted(sympy.ntheory.residue_ntheory.nthroot_mod(-2 % m, 3, m, all_roots=True))
+
+
+def test_nu_from_factors_above_the_lane_range():
+    # primes above 2^32 take the scalar cubic character, which the lanes
+    # refuse; sympy counts the roots independently
+    primes = [sympy.nextprime(2**40 + k * 10**6) for k in range(40)]
+    want = [len(_sympy_roots(p)) for p in primes]
+    want2 = [len(_sympy_roots(p**2)) for p in primes]
+    assert set(want) == {0, 1, 3}
+    assert [nu_from_factors({p: 1}) for p in primes] == want
+    assert [nu_from_factors({p: 2}) for p in primes] == want2
+    for j in range(len(primes) - 1):
+        assert nu_from_factors({primes[j]: 2, primes[j + 1]: 1, 31: 1}) == want2[j] * want[j + 1] * 3
 
 
 def test_cube_roots_match_enumeration_everywhere(roots_enum_1e5):
-    # both root-finding paths (p == 2 mod 3 power, p == 1 mod 3 discrete-log
-    # construction) against direct enumeration for every prime to 1e5
+    # the scalar cubic character and the lanes against direct enumeration for
+    # every prime to 1e5
     for p, want in roots_enum_1e5.items():
-        assert cube_roots_of_minus2(p) == want, p
         assert count_cubic_roots(p) == len(want), p
     primes = np.array(sorted(roots_enum_1e5), dtype=np.uint64)
     assert count_cubic_roots(primes).tolist() == [len(roots_enum_1e5[p]) for p in primes.tolist()]
@@ -241,15 +264,15 @@ def test_root_table_matches_enumeration(roots_enum_1e5):
     assert _flat(table) == [(p, r) for p, roots in roots_enum_1e5.items() for r in roots]
 
 
-def test_root_table_matches_scalar_roots_for_small_limits():
+def test_root_table_matches_enumeration_for_small_limits():
     for limit in range(301):
         table = build_root_table(limit)
         assert table.limit == limit
-        want = [(p, r) for p in sieve_primes(limit) for r in cube_roots_of_minus2(p)]
+        want = [(p, r) for p in sieve_primes(limit) for r in cubic_roots_enumerate(p)]
         assert _flat(table) == want, limit
 
 
-def test_lane_roots_match_scalar_where_the_sylow_subgroup_is_deepest():
+def test_lane_roots_match_sympy_where_the_sylow_subgroup_is_deepest():
     # below 1e7, v_3(p-1) reaches 12 (3^12 = 531441): the digit loop then
     # runs twelve rounds on a few lanes and one on most
     primes = empirical._prime_array(10**7)
@@ -259,7 +282,7 @@ def test_lane_roots_match_scalar_where_the_sylow_subgroup_is_deepest():
     near_cap = rng.sample(primes[primes > 10**7 - 10**5].tolist(), 1500)
     lanes = np.array(sorted(deep + near_cap), dtype=np.uint64)
     p, r = empirical._lane_roots(lanes)
-    want = [(q, x) for q in lanes.tolist() for x in cube_roots_of_minus2(q)]
+    want = [(q, x) for q in lanes.tolist() for x in _sympy_roots(q)]
     assert list(zip(p.tolist(), r.tolist())) == want
     # every lane's root is checked: 9 is no prime, and 7^5 mod 9 no root
     with pytest.raises(DomainError, match="p=9"):
@@ -522,8 +545,8 @@ def test_root_table_cache_roundtrip(tmp_path):
     assert int.from_bytes(raw[8:16], "little") == 10_000
 
 
-def _scalar_roots(limit):
-    return {p: cube_roots_of_minus2(p) for p in sieve_primes(limit)}
+def _enumerated_roots(limit):
+    return {p: cubic_roots_enumerate(p) for p in sieve_primes(limit)}
 
 
 def test_saved_cache_matches_the_reference_writer(tmp_path, roots_enum_1e5):
@@ -552,7 +575,7 @@ def test_root_table_cache_rejects_garbage(tmp_path):
     with pytest.raises(DomainError):
         load_root_table(str(path))
     good = tmp_path / "good.bin"
-    write_root_cache_v1(good, 100, _scalar_roots(100))
+    write_root_cache_v1(good, 100, _enumerated_roots(100))
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(DomainError):
@@ -560,7 +583,7 @@ def test_root_table_cache_rejects_garbage(tmp_path):
 
 
 def test_root_table_cache_rejects_a_cut_between_entries(tmp_path):
-    roots = _scalar_roots(100)
+    roots = _enumerated_roots(100)
     path = tmp_path / "roots.bin"
     write_root_cache_v1(path, 100, roots)
     last_entry = 9 + 8 * len(roots[97])
@@ -573,14 +596,14 @@ def test_root_table_cache_rejects_a_cut_between_entries(tmp_path):
 def test_root_table_cache_rejects_a_missing_prime(tmp_path, p):
     # without p = 5 every n == 2 (mod 5) keeps 5 in its residual, and
     # factor_range reports composite "prime" factors such as 25
-    roots = _scalar_roots(2000)
+    roots = _enumerated_roots(2000)
     del roots[p]
     with pytest.raises(DomainError, match=f"p={p}"):
         _reload(tmp_path, 2000, roots)
 
 
 def test_root_table_cache_rejects_a_dropped_root(tmp_path):
-    roots = _scalar_roots(2000)
+    roots = _enumerated_roots(2000)
     p = min(q for q, rs in roots.items() if len(rs) == 3)
     roots[p] = roots[p][:2]  # saved with count byte 2
     with pytest.raises(DomainError, match=f"p={p}"):
@@ -588,7 +611,7 @@ def test_root_table_cache_rejects_a_dropped_root(tmp_path):
 
 
 def test_root_table_cache_rejects_a_repeated_root(tmp_path):
-    roots = _scalar_roots(2000)
+    roots = _enumerated_roots(2000)
     p = max(q for q, rs in roots.items() if len(rs) == 3)
     r0, r1, _ = roots[p]
     roots[p] = (r0, r1, r1)  # three valid roots, so only their order tells
@@ -650,6 +673,8 @@ def test_mean_nu_matches_the_prime_loop():
     for limit in (2, 3, 10, 10**5):
         primes = sieve_primes(limit)
         assert mean_nu(limit) == sum(map(count_cubic_roots, primes)) / len(primes)
+    # the CLI's one pass: the mean runs over the primes to the last checkpoint
+    assert empirical._prime_sums(10**5, [10, 1000]) == (mertens_check(10**5, [10, 1000]), mean_nu(1000))
 
 
 def test_mertens_deviations_bounded(mertens_1e6):
