@@ -28,8 +28,8 @@ The prime layer runs on numpy lanes as well: an odd-only sieve, nu(p) by
 the cubic character in uint64 arithmetic, and the prime sums over blocks of
 2^14 primes, with results bit-identical to a loop over one prime at a time.
 The root table is two aligned uint64 arrays, prime and root, from end to
-end: its cube roots are built on lanes, the cache is written and checked as
-one buffer, and the sieve reads its progressions from the arrays.
+end: its cube roots are built on lanes, the cache holds only the roots, and
+the sieve reads its progressions from the arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,6 +56,13 @@ _MR_LADDER = (
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if it is a Python or numpy integer, else DomainError."""
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -315,6 +322,7 @@ def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
     (p-2)^((p-1)/3) mod p, taken on lanes by _pow_lanes.
     """
     if not isinstance(p, np.ndarray):
+        p = _integer("p", p)
         if p in (2, 3) or p % 3 == 2:
             return 1
         return 3 if pow(p - 2, (p - 1) // 3, p) == 1 else 0
@@ -327,16 +335,9 @@ def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
     return counts
 
 
-# primes per block of the prime sums and of the cache check: 2^16 ran no
-# faster, and its numpy temporaries raised the peak memory of a count run
+# primes per block of the prime sums: 2^16 ran no faster, and its numpy
+# temporaries raised the peak memory of a count run
 _PRIME_BLOCK = 1 << 14
-
-
-def _nu_blocks(primes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, primes[start:start + _PRIME_BLOCK], their nu(p)) per block."""
-    for start in range(0, primes.size, _PRIME_BLOCK):
-        block = primes[start : start + _PRIME_BLOCK]
-        yield start, block, count_cubic_roots(block)
 
 
 def _trial_factor(d: int) -> dict[int, int]:
@@ -365,7 +366,7 @@ def _nu_prime_power(p: int, e: int) -> int:
     and nu(p^e) = nu(p). For p = 2, 3 the one root mod p does not lift: n^3 + 2
     == 2 (mod 4) for even n, and -2 == 7 is not a cube mod 9.
     """
-    if not isinstance(e, (int, np.integer)) or e < 1:
+    if _integer("exponent", e) < 1:
         raise DomainError(f"exponent must be a positive integer, got {e!r}")
     return count_cubic_roots(p) if p > 3 or e == 1 else 0
 
@@ -377,7 +378,8 @@ def nu(d: int) -> int:
     by trial division and counted by nu_from_factors. Direct use is capped at
     d <= 1e9; factor larger d yourself and call nu_from_factors.
     """
-    if not isinstance(d, int) or d < 1:
+    d = _integer("d", d)
+    if d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if d > 10**9:
         raise DomainError("d above 1e9; factor it and use nu_from_factors")
@@ -389,6 +391,7 @@ def nu_from_factors(factors: Mapping[int, int]) -> int:
     the product of the prime-power counts, each prime certified first."""
     count = 1
     for p, e in factors.items():
+        p = _integer("prime", p)
         if not is_certified_prime(p):
             raise DomainError(f"{p} is not prime")
         count *= _nu_prime_power(p, e)
@@ -423,14 +426,15 @@ class RootTable:
 
 
 _CACHE_MAGIC = b"CRT1"
-_CACHE_VERSION = 1
-_CACHE_HEADER = 16  # magic, version, limit; each entry then takes 9 + 8*nu(p) bytes
+_CACHE_VERSION = 2
+_CACHE_HEADER = 16  # magic, version, limit; then one 8-byte word per root
 
 
 def build_root_table(limit: int) -> RootTable:
     """Roots of n^3 + 2 == 0 (mod p) for every prime p <= limit, computed on
     uint64 lanes by _lane_roots. The limit is capped at MAX_RANGE_TOP, as
     for the caches load_root_table reads."""
+    limit = _integer("limit", limit)
     if limit > MAX_RANGE_TOP:
         raise DomainError(f"prime limit is capped at {MAX_RANGE_TOP}, got {limit}")
     return RootTable(limit, *_lane_roots(_prime_array(limit)))
@@ -441,19 +445,28 @@ def _lane_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2^32: for p = 2, 3 and p == 2 (mod 3) the one root (p-2)^((2p-1)/3)
     mod p, and for the p == 1 (mod 3) with nu(p) = 3 the three of
     _cube_root_triples. This is the only construction of the roots; nu
-    counts them without it. Every root is checked to solve the congruence; a
-    failure raises DomainError."""
+    counts them without it. The roots pass _check_roots, or DomainError is
+    raised."""
     counts = count_cubic_roots(primes)
     p = np.repeat(primes, counts)
     r = np.empty_like(p)
     m = primes[counts == 1]
     r[np.repeat(counts == 1, counts)] = _pow_lanes(m - 2, (2 * m - 1) // 3, m)
     r[np.repeat(counts == 3, counts)] = _cube_root_triples(primes[counts == 3]).ravel()
-    bad = (r * r % p * r + 2) % p != 0
+    _check_roots(p, r, "cube-root construction: ")
+    return p, r
+
+
+def _check_roots(p: np.ndarray, r: np.ndarray, context: str) -> None:
+    """Raise DomainError, after context, unless each r[i] < p[i] solves
+    n^3 + 2 == 0 (mod p[i]) and exceeds the previous root of its prime. A
+    prime has exactly nu(p) roots, so with each prime nu(p) times in p only
+    the sorted roots pass: the rule of a valid table."""
+    bad = (r >= p) | ((r * r % p * r + 2) % p != 0)
+    bad[1:] |= (p[1:] == p[:-1]) & (r[1:] <= r[:-1])
     if bad.any():
         j = int(np.argmax(bad))
-        raise DomainError(f"cube-root construction failed for p={p[j]}")
-    return p, r
+        raise DomainError(f"{context}invalid root {r[j]} for p={p[j]}")
 
 
 def _cube_root_triples(p: np.ndarray) -> np.ndarray:
@@ -497,68 +510,34 @@ def _cube_root_triples(p: np.ndarray) -> np.ndarray:
     return np.sort(np.stack([x, xg, xg * gamma % p], axis=1), axis=1)
 
 
-def _layout(counts: np.ndarray, prime: int, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """Byte offsets in a cache file of the entries of consecutive primes with
-    these root counts, and of each of their root words, when the first of
-    them is the file's prime number `prime` and its first root the file's
-    root number `root` (both counted from 0)."""
-    before = np.cumsum(counts) - counts + root  # roots ahead of each entry
-    ahead = _CACHE_HEADER + 9 * np.arange(prime, prime + counts.size)
-    entries = ahead + 8 * before
-    roots = np.repeat(ahead + 9, counts) + 8 * np.arange(root, root + int(counts.sum()))
-    return entries, roots
-
-
-def _word_bytes(a: np.ndarray) -> np.ndarray:
-    return a.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-
-
 def save_root_table(path: str, table: RootTable) -> None:
-    """Binary cache (version 1): 16-byte header (magic, version, prime
-    limit), then per prime p <= limit ascending: p as 8-byte little-endian,
-    root count byte, roots as 8-byte little-endian each.
-
-    The file is filled as one buffer by numpy scatters, written beside path
-    and then renamed over it, so an interrupted run never leaves a truncated
-    cache behind. A table whose entries are not primes up to its limit, in
-    order, raises DomainError and leaves path as it was."""
+    """Binary cache (version 2): 16-byte header (magic, version, prime
+    limit), then table.r as 8-byte little-endian words; the loader derives
+    the primes from the limit. Written beside path and renamed over it, so
+    an interrupted run never leaves a truncated cache behind. A table whose
+    p is not each prime up to its limit nu(p) times, in order, raises
+    DomainError and leaves path as it was."""
+    primes = _prime_array(table.limit)
+    p = np.repeat(primes, count_cubic_roots(primes))
+    if table.r.shape != p.shape or not np.array_equal(table.p, p):
+        raise DomainError(f"table entries are not the primes up to {table.limit} in order")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_cache_buffer(table))
+            fh.write(_CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, table.limit))
+            fh.write(table.r.astype("<u8", copy=False).tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def _cache_buffer(table: RootTable) -> np.ndarray:
-    primes = _prime_array(table.limit)
-    counts = np.diff(np.searchsorted(table.p, primes, side="right"), prepend=0)
-    if not (
-        table.r.shape == table.p.shape
-        and np.array_equal(np.repeat(primes, counts), table.p)
-        and counts.max(initial=0) < 256
-    ):
-        raise DomainError(f"table entries are not the primes up to {table.limit} in order")
-    entries, roots = _layout(counts, 0, 0)
-    buf = np.zeros(_CACHE_HEADER + 9 * primes.size + 8 * table.r.size, dtype=np.uint8)
-    header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, table.limit)
-    buf[:_CACHE_HEADER] = np.frombuffer(header, dtype=np.uint8)
-    # the 8-byte window at every byte offset; entries and roots never overlap
-    words = np.lib.stride_tricks.sliding_window_view(buf, 8, writeable=True)
-    words[entries] = _word_bytes(primes)
-    buf[entries + 8] = counts
-    words[roots] = _word_bytes(table.r)
-    return buf
-
-
 def load_root_table(path: str) -> RootTable:
     """Read a cache written by save_root_table, checked against the sieve:
-    the entries must be exactly the primes up to the header's limit (at most
-    MAX_RANGE_TOP), each with nu(p) roots, strictly increasing, that solve
-    n^3 + 2 == 0 (mod p). Anything else raises DomainError. The root words
-    are read straight into the table's arrays, a block of primes at a time."""
+    the header's limit is at most MAX_RANGE_TOP, the file holds one word per
+    root of the primes up to it, and the roots pass _check_roots. So a file
+    that loads equals build_root_table of its limit; anything else raises
+    DomainError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _CACHE_HEADER or data[:4] != _CACHE_MAGIC:
@@ -569,42 +548,13 @@ def load_root_table(path: str) -> RootTable:
     (limit,) = struct.unpack_from("<Q", data, 8)
     if limit > MAX_RANGE_TOP:
         raise DomainError(f"{path}: prime limit {limit} is above {MAX_RANGE_TOP}")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    words = np.lib.stride_tricks.sliding_window_view(raw, 8)
-
-    def word(at: np.ndarray) -> np.ndarray:
-        return words[at].view("<u8").ravel()
-
-    ps, rs = [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)]
-    n_roots = 0
-    end = _CACHE_HEADER
-    for start, primes, counts in _nu_blocks(_prime_array(limit)):
-        entries, at = _layout(counts, start, n_roots)
-        n_roots += at.size
-        end = _CACHE_HEADER + 9 * (start + primes.size) + 8 * n_roots
-        # compare every entry whose prime and count byte lie inside the file,
-        # so that a missing or extra entry is named even when the length is wrong
-        inside = entries[: np.searchsorted(entries, len(data) - 9, side="right")]
-        n = inside.size
-        wrong = (word(inside) != primes[:n]) | (raw[inside + 8] != counts[:n])
-        if wrong.any():
-            j = int(np.argmax(wrong))
-            raise DomainError(
-                f"{path}: entry {start + j} is not p={primes[j]} with {counts[j]} roots"
-            )
-        if end > len(data):
-            raise DomainError(f"{path}: truncated at byte {len(data)}")
-        p, r = np.repeat(primes, counts), word(at)
-        bad = (r >= p) | ((r * r % p * r + 2) % p != 0)
-        bad[1:] |= (p[1:] == p[:-1]) & (r[1:] <= r[:-1])
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise DomainError(f"{path}: invalid root {r[j]} for p={p[j]}")
-        ps.append(p)
-        rs.append(r)
-    if len(data) > end:
-        raise DomainError(f"{path}: {len(data) - end} bytes after the last prime")
-    return RootTable(limit, np.concatenate(ps), np.concatenate(rs))
+    primes = _prime_array(limit)
+    p = np.repeat(primes, count_cubic_roots(primes))
+    if len(data) != _CACHE_HEADER + 8 * p.size:
+        raise DomainError(f"{path}: {len(data)} bytes, not {_CACHE_HEADER + 8 * p.size}")
+    r = np.frombuffer(data, dtype="<u8", offset=_CACHE_HEADER).astype(np.uint64, copy=False)
+    _check_roots(p, r, f"{path}: ")
+    return RootTable(limit, p, r)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +572,8 @@ class RangeJob:
     segment_size: int = 1 << 16
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # numpy integers become ints, anything else fails
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
         if self.x_min < 0 or self.x_min >= self.x_max:
             raise DomainError(f"need 0 <= x_min < x_max, got {self.x_min}, {self.x_max}")
         if self.x_max > MAX_RANGE_TOP:
@@ -904,6 +856,7 @@ def _prime_sums(
     last checkpoint) from one pass over the primes; the mean is the integer
     total of nu(p) over the prime count. The primes run up to x, with
     2 <= x <= 1e8."""
+    x = _integer("x", x)
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
     if x > 10**8:
@@ -912,7 +865,7 @@ def _prime_sums(
         cps = [10**j for j in range(1, 9) if 10**j < x]
         cps.append(x)
     else:
-        cps = sorted(set(int(c) for c in checkpoints))
+        cps = sorted(set(_integer("checkpoint", c) for c in checkpoints))
         if not cps or cps[0] < 2 or cps[-1] > x:
             raise DomainError("checkpoints must lie in [2, x]")
     primes = _prime_array(cps[-1])
@@ -922,7 +875,9 @@ def _prime_sums(
     acc = 0.0
     total = 0
     j = 0
-    for start, block, nus in _nu_blocks(primes):
+    for start in range(0, primes.size, _PRIME_BLOCK):
+        block = primes[start : start + _PRIME_BLOCK]
+        nus = count_cubic_roots(block)
         # the loop's acc += nu*log(p)/p, in the same roundings and order:
         # math.log, since numpy's log may differ from libm in the last bit,
         # and a cumulative sum, which adds strictly from left to right

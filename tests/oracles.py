@@ -124,17 +124,21 @@ def cubic_roots_enumerate(p: int) -> tuple[int, ...]:
     return tuple(int(r) for r in hits)
 
 
-def write_root_cache_v1(path, limit: int, roots: dict[int, tuple[int, ...]]) -> None:
-    """Reference writer of the version-1 root-table cache: a 16-byte header
-    (magic, version, prime limit), then for each prime of roots ascending, p
-    as 8-byte little-endian, the root count byte, and the roots as 8-byte
-    little-endian each. Writes whatever roots holds, valid or not."""
+def write_root_cache(
+    path, limit: int, roots: dict[int, tuple[int, ...]], version: int = 2
+) -> None:
+    """Reference writer of the root-table cache: a 16-byte header (magic,
+    version, prime limit), then for each prime of roots ascending its roots
+    as 8-byte little-endian words. Version 1, the earlier format, put before
+    them p as an 8-byte little-endian word and the root count byte. Writes
+    whatever roots holds, valid or not."""
     with open(path, "wb") as fh:
         fh.write(b"CRT1")
-        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", version))
         fh.write(struct.pack("<Q", limit))
         for p in sorted(roots):
-            fh.write(struct.pack("<QB", p, len(roots[p])))
+            if version == 1:
+                fh.write(struct.pack("<QB", p, len(roots[p])))
             for r in roots[p]:
                 fh.write(struct.pack("<Q", r))
 

@@ -9,6 +9,9 @@ import pytest
 import cubebound
 from cubebound import DomainError, build_root_table, load_root_table, mean_nu, mertens_check
 from cubebound.cli import main
+from cubebound.empirical import sieve_primes
+
+from oracles import cubic_roots_enumerate, write_root_cache
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +149,25 @@ def test_empirical_count_rebuilds_unreadable_cache(capsys, tmp_path):
     assert out2 == out
     assert len([line for line in err.splitlines() if "warning" in line]) == 1
     assert load_root_table(str(cache)) == build_root_table(20)
+
+
+def test_empirical_count_rebuilds_a_version_1_cache(capsys, tmp_path):
+    # a file in the earlier format is refused, rebuilt and replaced once
+    cache = tmp_path / "roots.bin"
+    args = [
+        "empirical", "count", "--x-min", "10", "--x-max", "20",
+        "--threshold", "2", "--h", "3", "--cache", str(cache), "--timestamp", "T",
+    ]
+    _, out, _ = run_cli(capsys, *args)
+    write_root_cache(cache, 20, {p: cubic_roots_enumerate(p) for p in sieve_primes(20)}, 1)
+    code, out2, err = run_cli(capsys, *args)
+    assert code == 0
+    assert out2 == out
+    warnings = [line for line in err.splitlines() if "warning" in line]
+    assert len(warnings) == 1 and "version 1" in warnings[0]
+    assert load_root_table(str(cache)) == build_root_table(20)
+    _, out3, err = run_cli(capsys, *args)
+    assert out3 == out and "warning" not in err
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])

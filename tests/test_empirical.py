@@ -33,7 +33,7 @@ from oracles import (
     prime_sum_loop,
     primes_by_trial_division,
     trial_factor,
-    write_root_cache_v1,
+    write_root_cache,
 )
 
 
@@ -202,6 +202,20 @@ def test_nu_validation():
     for e in (0, -1, 1.5):  # a prime power needs a positive integer exponent
         with pytest.raises(DomainError, match="exponent"):
             nu_from_factors({7: e})
+    for bad in (31.0, "31"):
+        with pytest.raises(DomainError, match="integer"):
+            count_cubic_roots(bad)
+        with pytest.raises(DomainError, match="integer"):
+            nu_from_factors({bad: 1})
+
+
+def test_nu_takes_numpy_integers_as_ints():
+    # three-argument pow refuses numpy scalars, such as a prime read from a table
+    for t in (np.int64, np.uint64):
+        assert count_cubic_roots(t(31)) == count_cubic_roots(31) == 3
+        assert count_cubic_roots(t(29)) == 1
+        assert nu_from_factors({t(31): 2}) == nu_from_factors({t(31): t(2)}) == nu(31**2) == 3
+        assert nu(t(31 * 29)) == 3
 
 
 def test_nu_from_factors_matches_direct():
@@ -516,6 +530,11 @@ def test_range_job_validation():
         RangeJob(x_min=0, x_max=10, threshold=1, h=0)
     with pytest.raises(DomainError):
         RangeJob(x_min=0, x_max=10, threshold=2, h=-1)
+    for bad in ({"x_max": 100.0}, {"h": 3.0}, {"segment_size": 1.5}):
+        with pytest.raises(DomainError, match="integer"):
+            RangeJob(**{"x_min": 0, "x_max": 100, "threshold": 2, "h": 3, **bad})
+    job = RangeJob(np.int64(0), np.uint64(100), np.int32(2), np.int64(3))
+    assert job == RangeJob(0, 100, 2, 3) and type(job.x_max) is int
 
 
 def test_progress_callback():
@@ -539,10 +558,12 @@ def test_root_table_cache_roundtrip(tmp_path):
     assert loaded == table
     assert loaded != build_root_table(10_001)  # the same primes, another limit
     assert loaded != RootTable(table.limit, table.p, table.r ^ np.uint64(1))
-    # header is exactly 16 bytes: magic, version, limit
+    # a 16-byte header (magic, version 2, limit), then one word per root
     raw = path.read_bytes()
     assert raw[:4] == b"CRT1"
+    assert int.from_bytes(raw[4:8], "little") == 2
     assert int.from_bytes(raw[8:16], "little") == 10_000
+    assert len(raw) == 16 + 8 * table.r.size
 
 
 def _enumerated_roots(limit):
@@ -556,16 +577,16 @@ def test_saved_cache_matches_the_reference_writer(tmp_path, roots_enum_1e5):
             p: roots_enum_1e5[p] if p in roots_enum_1e5 else cubic_roots_enumerate(p)
             for p in sieve_primes(limit)
         }
-        write_root_cache_v1(want, limit, roots)
+        write_root_cache(want, limit, roots)
         table = build_root_table(limit)
         save_root_table(str(got), table)
         assert got.read_bytes() == want.read_bytes(), limit
         assert load_root_table(str(want)) == table
 
 
-def _reload(tmp_path, limit, roots):
+def _reload(tmp_path, limit, roots, version=2):
     path = tmp_path / "roots.bin"
-    write_root_cache_v1(path, limit, roots)
+    write_root_cache(path, limit, roots, version)
     return load_root_table(str(path))
 
 
@@ -575,7 +596,7 @@ def test_root_table_cache_rejects_garbage(tmp_path):
     with pytest.raises(DomainError):
         load_root_table(str(path))
     good = tmp_path / "good.bin"
-    write_root_cache_v1(good, 100, _enumerated_roots(100))
+    write_root_cache(good, 100, _enumerated_roots(100))
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(DomainError):
@@ -583,21 +604,28 @@ def test_root_table_cache_rejects_garbage(tmp_path):
 
 
 def test_root_table_cache_rejects_a_cut_between_entries(tmp_path):
-    roots = _enumerated_roots(100)
+    # an entry is one root word: the file ends a whole word short
     path = tmp_path / "roots.bin"
-    write_root_cache_v1(path, 100, roots)
-    last_entry = 9 + 8 * len(roots[97])
-    path.write_bytes(path.read_bytes()[:-last_entry])
+    write_root_cache(path, 100, _enumerated_roots(100))
+    path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DomainError):
         load_root_table(str(path))
 
 
-@pytest.mark.parametrize("p", [5, 1009])
+def test_root_table_cache_rejects_version_1(tmp_path):
+    # the earlier format, roots and all: rebuilt once, never read as roots
+    with pytest.raises(DomainError, match="version 1"):
+        _reload(tmp_path, 100, _enumerated_roots(100), version=1)
+
+
+@pytest.mark.parametrize("p", [5, 1021])
 def test_root_table_cache_rejects_a_missing_prime(tmp_path, p):
     # without p = 5 every n == 2 (mod 5) keeps 5 in its residual, and
-    # factor_range reports composite "prime" factors such as 25
+    # factor_range reports composite "prime" factors such as 25; padded to
+    # the right length, the next primes' roots shift onto p and fail there
     roots = _enumerated_roots(2000)
-    del roots[p]
+    gone = roots.pop(p)
+    roots[2001] = (0,) * len(gone)  # sorts last: the padding words
     with pytest.raises(DomainError, match=f"p={p}"):
         _reload(tmp_path, 2000, roots)
 
@@ -605,7 +633,10 @@ def test_root_table_cache_rejects_a_missing_prime(tmp_path, p):
 def test_root_table_cache_rejects_a_dropped_root(tmp_path):
     roots = _enumerated_roots(2000)
     p = min(q for q, rs in roots.items() if len(rs) == 3)
-    roots[p] = roots[p][:2]  # saved with count byte 2
+    roots[p] = roots[p][:2]
+    with pytest.raises(DomainError, match="bytes"):
+        _reload(tmp_path, 2000, roots)
+    roots[2001] = (0,)  # padded to the right length: the next root shifts onto p
     with pytest.raises(DomainError, match=f"p={p}"):
         _reload(tmp_path, 2000, roots)
 
@@ -622,6 +653,33 @@ def test_root_table_cache_rejects_a_repeated_root(tmp_path):
 def test_root_table_cache_rejects_a_limit_beyond_the_range_cap(tmp_path):
     with pytest.raises(DomainError, match="above"):
         _reload(tmp_path, 2**40, {})
+
+
+def test_corrupted_cache_loads_exactly_or_raises(tmp_path):
+    # a file that loads is the built table of its header's limit: a changed
+    # root word or a cut never loads, and a changed limit (bytes 8-15) loads
+    # only as the table of the new limit, such as 301 with the same roots
+    table = build_root_table(300)
+    path = tmp_path / "roots.bin"
+    save_root_table(str(path), table)
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(DomainError):
+            load_root_table(str(path))
+    path.write_bytes(raw[:8] + (301).to_bytes(8, "little") + raw[16:])
+    assert load_root_table(str(path)) == build_root_table(301)
+    rng = random.Random(20141203)
+    for _ in range(2000):
+        at = rng.randrange(len(raw))
+        bad = bytearray(raw)
+        bad[at] ^= rng.randrange(1, 256)
+        path.write_bytes(bad)
+        try:
+            loaded = load_root_table(str(path))
+        except DomainError:
+            continue
+        assert 8 <= at < 16 and loaded == build_root_table(loaded.limit), at
 
 
 def test_failed_save_keeps_the_old_cache(tmp_path):
@@ -692,6 +750,13 @@ def test_mertens_validation():
         mertens_check(1)
     with pytest.raises(DomainError):
         mertens_check(100, checkpoints=[200])
+    # a fractional checkpoint is refused, not truncated to x=50
+    for call in (lambda: mertens_check(100, [50.5]), lambda: mertens_check(100, [50.0]),
+                 lambda: mertens_check(1e3), lambda: mean_nu(1e3)):
+        with pytest.raises(DomainError, match="integer"):
+            call()
+    assert mertens_check(np.int64(100), [np.uint64(50)]) == mertens_check(100, [50])
+    assert mean_nu(np.int64(1000)) == mean_nu(1000)
 
 
 def test_caps_are_checked_before_sieving():
@@ -699,6 +764,9 @@ def test_caps_are_checked_before_sieving():
     # share one cap of 1e8
     with pytest.raises(DomainError, match="capped"):
         build_root_table(empirical.MAX_RANGE_TOP + 1)
+    with pytest.raises(DomainError, match="integer"):
+        build_root_table(100.0)
+    assert build_root_table(np.int64(100)) == build_root_table(100)
     for f in (mertens_check, mean_nu):
         with pytest.raises(DomainError, match="capped at 1e8"):
             f(10**8 + 1)
