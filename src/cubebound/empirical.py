@@ -9,14 +9,15 @@ the cubic character of -2, and nu(p^e) = nu(p) for p >= 5, where every root
 is simple and lifts uniquely, while 2 and 3 have one root each and none mod
 4 or 9. The roots themselves are built only for the root table.
 
-The factorisation is sieve-driven: for each prime p in the root table with
-roots of n^3+2 == 0 (mod p), the roots' arithmetic progressions are marked
-across segments and p is divided out at the hits; the remaining cofactor has
-at most two prime factors, all above the table limit (the limit is at least
-n, and three factors above n would exceed (n+1)^3 > n^3+2), and is certified
-prime or split once. Counting decides each n from its sieved count and
-tests the cofactor only when it can change the verdict. Everything runs in
-one process, a segment at a time.
+The factorisation is sieve-driven: one array holds the next hit of every
+root r of n^3+2 == 0 (mod p) in the root table, each segment walks the
+progressions of the roots that hit it and divides p out at every hit, and
+the sieve reports each division, which the caller tallies. The remaining
+cofactor has at most two prime factors, all above the table limit (the
+limit is at least n, and three factors above n would exceed (n+1)^3 >
+n^3+2), and is certified prime or split once. Counting decides each n from
+its sieved count and tests the cofactor only when it can change the
+verdict. Everything runs in one process, a segment at a time.
 
 Each segment's cofactors are classified in one batch: Miller-Rabin with the
 same witness ladder, and Pollard-Brent with every walk in lockstep, run in
@@ -29,7 +30,7 @@ the cubic character in uint64 arithmetic, and the prime sums over blocks of
 2^14 primes, with results bit-identical to a loop over one prime at a time.
 The root table is two aligned uint64 arrays, prime and root, from end to
 end: its cube roots are built on lanes, the cache holds only the roots, and
-the sieve reads its progressions from the arrays.
+the sieve's next-hit array is computed from them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _integer(name: str, value) -> int:
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes up to and including limit."""
-    return _prime_array(limit).tolist()
+    return _prime_array(_integer("limit", limit)).tolist()
 
 
 def _prime_array(limit: int) -> np.ndarray:
@@ -97,7 +98,7 @@ def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
     least _MR_BATCH_MIN of them; the others one at a time.
     """
     if not isinstance(n, Sequence):
-        return _mr_int(n)
+        return _mr_int(_integer("n", n))
     out: list[bool | None] = [None] * len(n)
     lanes = [i for i, v in enumerate(n) if 1 < v < _MONT_TOP]
     if len(lanes) >= _MR_BATCH_MIN:
@@ -140,9 +141,11 @@ def _mr_int(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-# Fewer lanes than these run faster on Python ints: a batch pays numpy's
-# per-call cost (about 40 ms for a Miller-Rabin ladder on 62-bit values),
-# one value about 0.08 ms of Miller-Rabin or 3 ms of Brent walk.
+# A Miller-Rabin batch pays numpy's per-call cost (about 40 ms for a ladder
+# on 62-bit values) and one value about 0.08 ms on Python ints, so batches
+# under _MR_BATCH_MIN are tested there; the lockstep Brent walks hand their
+# lanes over to Python ints (about 3 ms of walk each) once fewer than
+# _BRENT_BATCH_MIN remain.
 _MR_BATCH_MIN = 400
 _BRENT_BATCH_MIN = 100
 _LO32 = np.uint64(0xFFFF_FFFF)
@@ -270,7 +273,8 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
 
     Returns each lane's divisor, 0 where the gcd was the whole lane (the
     scalar path backtracks or changes c), and the walk state (x, y, q, r, k)
-    of the lanes still open when fewer than _BRENT_BATCH_MIN remain.
+    of the lanes still open when fewer than _BRENT_BATCH_MIN remain, which
+    is at once when fewer are given.
     """
     divisors = [0] * m.size
     lanes = np.arange(m.size)
@@ -639,13 +643,11 @@ def _pollard_brent(values: list[int], ns: Sequence[int]) -> list[int]:
     _cofactor_primes); odd values below 2^63 walk in lockstep first, and
     _brent_int finishes the walks that did not split there."""
     divisors = [0] * len(values)
-    resume: dict[int, tuple[int, ...]] = {}
     lanes = [i for i, v in enumerate(values) if v % 2 and v < _MONT_TOP]
-    if len(lanes) >= _BRENT_BATCH_MIN:
-        found, states = _brent_lanes(_lane_values(values, lanes))
-        for i, d in zip(lanes, found):
-            divisors[i] = d
-        resume = {lanes[j]: state for j, state in states.items()}
+    found, states = _brent_lanes(_lane_values(values, lanes))
+    for i, d in zip(lanes, found):
+        divisors[i] = d
+    resume = {lanes[j]: state for j, state in states.items()}
     for i, v in enumerate(values):
         d = divisors[i] or _brent_int(v, ns[i], resume.get(i))
         if not 1 < d < v or v % d:
@@ -691,59 +693,37 @@ def _cofactor_primes(
 
 def _sieved_segments(
     job: RangeJob, table: RootTable, progress: Callable[[int, int], None] | None
-) -> Iterator[tuple[int, int, list[int], list[dict[int, int]], list[int]]]:
-    """Strip every table prime from each segment of (x_min, x_max].
+) -> Iterator[tuple[int, int, list[int], list[int], list[int]]]:
+    """Divide every table prime out of each segment of (x_min, x_max].
 
-    Yields (lo, hi, residuals, found, above) where residuals[i] is what is
-    left of (lo+i)^3 + 2, found[i] maps the stripped primes to
-    multiplicities and above[i] counts those >= job.threshold with
-    multiplicity; progress(lo, hi) fires once the caller has taken the
-    segment in and asks for the next.
-    Roots of primes up to the segment size are walked in every segment. For
-    the larger primes one array holds each root's next hit n >= x_min + 1,
-    and a root whose first hit lies past x_max is dropped: such a prime hits
-    a segment at most once, so each segment strips the hits up to its end
-    and advances them by p.
+    Yields (lo, hi, residual, at, by) where residual[i] is what is left of
+    (lo+i)^3 + 2 and each j is one division: the prime by[j] was divided
+    once out of the value at index at[j]. progress(lo, hi) fires once the
+    caller has taken the segment in and asks for the next.
+    One array holds each root's next hit n >= x_min + 1. A segment walks the
+    progression of every root whose hit falls inside it, then moves those
+    hits past its end.
     """
     base = job.x_min + 1
-    seg = job.segment_size
-    threshold = job.threshold
-    small = table.p <= seg
-    smalls = list(zip(table.p[small].tolist(), table.r[small].tolist()))
-    big = table.p[~small].astype(np.int64)
-    hits = base + (table.r[~small].astype(np.int64) - base) % big
-    keep = hits <= job.x_max
-    big, hits = big[keep], hits[keep]
-
-    n_segments = (job.x_max - job.x_min + seg - 1) // seg
-    for si in range(n_segments):
-        lo = base + si * seg
-        hi = min(lo + seg - 1, job.x_max)
-        width = hi - lo + 1
+    p = table.p.astype(np.int64)
+    hits = base + (table.r.astype(np.int64) - base) % p
+    for lo in range(base, job.x_max + 1, job.segment_size):
+        hi = min(lo + job.segment_size - 1, job.x_max)
         residual = [n * n * n + 2 for n in range(lo, hi + 1)]
-        found: list[dict[int, int]] = [{} for _ in range(width)]
-        above = [0] * width
-
-        def strip(idx: int, p: int) -> None:
-            v = residual[idx]
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            if e:
-                residual[idx] = v
-                found[idx][p] = e
-                if p >= threshold:
-                    above[idx] += e
-
-        for p, r in smalls:
-            for n in range(lo + (r - lo) % p, hi + 1, p):
-                strip(n - lo, p)
+        at: list[int] = []
+        by: list[int] = []
         now = np.flatnonzero(hits <= hi)
-        for p, n in zip(big[now].tolist(), hits[now].tolist()):
-            strip(n - lo, p)
-        hits[now] += big[now]
-        yield lo, hi, residual, found, above
+        step = p[now]
+        for q, first in zip(step.tolist(), (hits[now] - lo).tolist()):
+            for idx in range(first, len(residual), q):
+                v = residual[idx]
+                while v % q == 0:
+                    v //= q
+                    at.append(idx)
+                    by.append(q)
+                residual[idx] = v
+        hits[now] += ((hi - hits[now]) // step + 1) * step
+        yield lo, hi, residual, at, by
         if progress is not None:
             progress(lo, hi)
 
@@ -770,8 +750,12 @@ def factor_range(
     FactorizationError rather than passing silently.
     """
     table = _covering_table(job, table)
-    for lo, hi, residual, found, _ in _sieved_segments(job, table, progress):
+    for lo, hi, residual, at, by in _sieved_segments(job, table, progress):
         for idx, p in _cofactor_primes(residual, range(lo, hi + 1), table.limit):
+            at.append(idx)
+            by.append(p)
+        found: list[dict[int, int]] = [{} for _ in residual]
+        for idx, p in zip(at, by):
             found[idx][p] = found[idx].get(p, 0) + 1
         for idx, fac in enumerate(found):
             n = lo + idx
@@ -801,7 +785,11 @@ def empirical_T(
     h, threshold, limit = job.h, job.threshold, table.limit
     split = threshold > limit + 1  # residual factors may fall below the threshold
     count = 0
-    for lo, hi, residual, _, above in _sieved_segments(job, table, progress):
+    for lo, hi, residual, at, by in _sieved_segments(job, table, progress):
+        above = [0] * len(residual)  # factors >= threshold, with multiplicity
+        for idx, p in zip(at, by):
+            if p >= threshold:
+                above[idx] += 1
         tested, open_ = [], []
         for idx, (m, om) in enumerate(zip(residual, above)):
             if om >= h:
@@ -809,7 +797,7 @@ def empirical_T(
             elif om + 2 < h or m == 1:
                 continue
             elif split:
-                open_.append((idx, h - om))
+                open_.append(idx)
             elif om == h - 1:
                 # every residual factor counts: one is always there, and a
                 # second exactly when m is composite (m <= limit^2 is prime)
@@ -818,11 +806,10 @@ def empirical_T(
                 tested.append(m)
         if tested:
             count += is_certified_prime(tested).count(False)
-        added = [0] * len(open_)
-        ms = [residual[i] for i, _ in open_]
-        for j, p in _cofactor_primes(ms, [lo + i for i, _ in open_], limit):
-            added[j] += p >= threshold
-        count += sum(a >= need for a, (_, need) in zip(added, open_))
+        ms = [residual[i] for i in open_]
+        for j, p in _cofactor_primes(ms, [lo + i for i in open_], limit):
+            above[open_[j]] += p >= threshold
+        count += sum(above[i] >= h for i in open_)
     return count
 
 

@@ -207,6 +207,11 @@ def test_nu_validation():
             count_cubic_roots(bad)
         with pytest.raises(DomainError, match="integer"):
             nu_from_factors({bad: 1})
+    for bad in (2.5, 31.0):
+        with pytest.raises(DomainError, match="integer"):
+            is_certified_prime(bad)
+    with pytest.raises(DomainError, match="integer"):
+        sieve_primes(100.0)
 
 
 def test_nu_takes_numpy_integers_as_ints():
@@ -216,6 +221,9 @@ def test_nu_takes_numpy_integers_as_ints():
         assert count_cubic_roots(t(29)) == 1
         assert nu_from_factors({t(31): 2}) == nu_from_factors({t(31): t(2)}) == nu(31**2) == 3
         assert nu(t(31 * 29)) == 3
+        for v in (31, 2**40 + 15, 2**40 + 17, 2**61 - 1, (2**31 - 1) * (2**31 + 11)):
+            assert is_certified_prime(t(v)) == sympy.isprime(v), (t, v)
+        assert sieve_primes(t(100)) == sieve_primes(100)
 
 
 def test_nu_from_factors_matches_direct():
@@ -453,8 +461,9 @@ def window_across_2_63():
 
 @pytest.mark.parametrize("batch_min", [None, 8])
 def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monkeypatch):
-    # batch_min 8 sends this window's lanes below 2^63 through both kernels;
-    # the defaults leave its few lanes to the scalar path
+    # batch_min 8 tests this window's lanes below 2^63 on the Miller-Rabin
+    # kernel and walks them in lockstep; with the defaults they are tested on
+    # Python ints, and the lockstep walk hands them to the scalar one at once
     if batch_min:
         monkeypatch.setattr(empirical, "_MR_BATCH_MIN", batch_min)
         monkeypatch.setattr(empirical, "_BRENT_BATCH_MIN", batch_min)
@@ -479,12 +488,20 @@ def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monke
 
 
 def test_segment_independence():
+    # sizes 1 and 2 put a root's one hit in a segment, or on its last value
     table = build_root_table(2000)
+    sizes = (1, 2, 97, 256, 1001, 1 << 16)
     runs = []
-    for seg in (97, 256, 1001, 1 << 16):
+    for seg in sizes:
         job = RangeJob(x_min=1000, x_max=2000, threshold=2, h=0, segment_size=seg)
         runs.append(list(factor_range(job, table)))
-    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert all(run == runs[0] for run in runs)
+    for threshold in (2, 32, table.limit + 2):  # the last leaves residual factors below it
+        for h in range(6):
+            want = sum(1 for prof in runs[0] if prof.omega_above(threshold) >= h)
+            for seg in sizes:
+                job = RangeJob(1000, 2000, threshold=threshold, h=h, segment_size=seg)
+                assert empirical_T(job, table) == want, (threshold, h, seg)
 
 
 def test_oversized_table_is_fine_and_equal():
