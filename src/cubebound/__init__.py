@@ -20,7 +20,6 @@ from .bounds import (
     TiltChoice,
     first_bound,
     optimize_alpha,
-    second_bound,
     second_bound_detail,
     second_bound_term,
 )
@@ -55,8 +54,7 @@ __all__ = [
     "AggregateConfig", "AggregateReport", "PerHTerm", "display_round",
     "final_constants", "sweep_H", "weighted_tail",
     "BoundParams", "SecondBoundDetail", "TiltChoice", "first_bound",
-    "optimize_alpha", "second_bound",
-    "second_bound_detail", "second_bound_term",
+    "optimize_alpha", "second_bound_detail", "second_bound_term",
     *_EMPIRICAL,
     "DomainError", "FactorizationError", "PrecisionError",
     "ONE", "ZERO", "LogNumber", "from_fraction", "from_real", "ln_add",

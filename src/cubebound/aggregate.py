@@ -104,12 +104,11 @@ class AggregateReport:
     varpi: LogNumber
     count_proportion: LogNumber
     per_h_terms: tuple[PerHTerm, ...]
-    tilt_choices: tuple[TiltChoice, ...]
 
 
 def _per_h_entry(cfg: AggregateConfig, h: int, method: str) -> PerHTerm:
     if method == "first":
-        coeff = first_bound(h, cfg.delta, 3)
+        coeff = first_bound(h, cfg.delta)
         K = None
         choices: tuple[TiltChoice, ...] = ()
     else:
@@ -159,13 +158,11 @@ def _assemble_report(
     s_lower = from_real(cfg.S_lower)
     margin = ln_sub(s_lower, tail_total)
 
-    per_h = tuple(second_terms) + tuple(first_terms)
-    choices = tuple(c for t in per_h for c in t.tilt_choices)
     common = dict(
         delta=cfg.delta, H=cfg.H, split_h=cfg.split_h, h_max=cfg.h_max,
         K_offset=cfg.K_offset, S_lower=cfg.S_lower,
         tail_first=tail_first, tail_second=tail_second, tail_total=tail_total,
-        margin=margin, per_h_terms=per_h, tilt_choices=choices,
+        margin=margin, per_h_terms=tuple(second_terms) + tuple(first_terms),
     )
 
     numeric_floor = (
@@ -194,15 +191,14 @@ def _assemble_report(
 
 
 def final_constants(cfg: AggregateConfig) -> AggregateReport:
-    """Run the full pipeline at the given configuration.
+    """Run the full pipeline at the given configuration: sweep_H at the one
+    value cfg.H.
 
     tail_second covers H < h < split_h with the tilted bound (K clamped to
     h-1 where [h/3]+K_offset would exceed it); tail_first covers
     split_h <= h <= h_max with the closed form.
     """
-    _, second_terms = weighted_tail(cfg, cfg.H + 1, cfg.split_h - 1, "second")
-    _, first_terms = weighted_tail(cfg, cfg.split_h, cfg.h_max, "first")
-    return _assemble_report(cfg, second_terms, first_terms)
+    return sweep_H(cfg, [cfg.H])[0][1]
 
 
 def sweep_H(cfg: AggregateConfig, H_values: Iterable[int]) -> list[tuple[int, AggregateReport]]:

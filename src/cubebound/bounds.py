@@ -1,10 +1,10 @@
 """Explicit coefficients c(h, delta) bounding the proportion of n in (X, 2X]
 for which n^3+2 has at least h prime factors above X^delta.
 
-Two families are computed. The plain closed form keeps k = [h/degree] primes
-and relaxes the size region to a box, giving
+Both families bound the cubic n^3+2 only. The plain closed form keeps
+k = [h/3] primes and relaxes the size region to a box, giving
 
-    c = (1/k!) * (log((degree - (k-1)*delta) / ((h-k+1)*delta)))^k.
+    c = (1/k!) * (log((3 - (k-1)*delta) / ((h-k+1)*delta)))^k.
 
 The tilted refinement keeps k in [[h/3], K] primes and, for k < K, penalises
 the region where the kept primes must multiply up to nearly the full range by
@@ -36,9 +36,9 @@ _ALPHA_RTOL = 1e-9
 _MAX_STEPS = 100
 
 
-def checked_delta(delta, h: int = 3, degree: int = 3) -> Fraction:
+def checked_delta(delta, h: int = 3) -> Fraction:
     """delta as an exact rational after the checks every entry point shares:
-    h >= 3, 0 < delta < 1 and degree >= 2. Floats are rejected on purpose."""
+    h >= 3 and 0 < delta < 1. Floats are rejected on purpose."""
     if isinstance(delta, float):
         raise DomainError("delta must be an exact rational (e.g. Fraction(1, 321)), not a float")
     delta = Fraction(delta)
@@ -46,36 +46,31 @@ def checked_delta(delta, h: int = 3, degree: int = 3) -> Fraction:
         raise DomainError(f"h must be at least 3, got {h}")
     if not (0 < delta < 1):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if degree < 2:
-        raise DomainError(f"degree must be at least 2, got {degree}")
     return delta
 
 
-def s_max_exact(h: int, delta: Fraction, degree: int, k: int) -> Fraction:
-    """Upper coordinate limit (degree - (k-1)*delta) / (h-k+1), exactly."""
-    return (Fraction(degree) - (k - 1) * delta) / (h - k + 1)
+def s_max_exact(h: int, delta: Fraction, k: int) -> Fraction:
+    """Upper coordinate limit (3 - (k-1)*delta) / (h-k+1), exactly."""
+    return (3 - (k - 1) * delta) / (h - k + 1)
 
 
 @dataclass(frozen=True)
 class BoundParams:
     """Parameters of one bound term: h large factors, cutoff exponent delta,
-    polynomial degree, and k primes kept in the divisor."""
+    and k primes kept in the divisor of n^3+2."""
 
     h: int
     delta: Fraction
-    degree: int = 3
-    k: int = 0
+    k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", checked_delta(self.delta, self.h, self.degree))
-        if not (self.h // self.degree <= self.k <= self.h - 1):
-            raise DomainError(
-                f"k must lie in [{self.h // self.degree}, {self.h - 1}], got {self.k}"
-            )
+        object.__setattr__(self, "delta", checked_delta(self.delta, self.h))
+        if not (self.h // 3 <= self.k <= self.h - 1):
+            raise DomainError(f"k must lie in [{self.h // 3}, {self.h - 1}], got {self.k}")
 
     @cached_property
     def s_max(self) -> Fraction:
-        return s_max_exact(self.h, self.delta, self.degree, self.k)
+        return s_max_exact(self.h, self.delta, self.k)
 
     def is_empty(self) -> bool:
         """True when s_max <= delta, i.e. the size region has no interior."""
@@ -98,34 +93,29 @@ def _log_ratio(num: Fraction, den: Fraction) -> float:
     return math.log(r.numerator) - math.log(r.denominator)
 
 
-def _closed_form(h: int, delta: Fraction, degree: int, k: int) -> LogNumber:
+def _closed_form(h: int, delta: Fraction, k: int) -> LogNumber:
     """(1/k!) * log(s_max/delta)^k, or zero when the region is empty."""
-    smax = s_max_exact(h, delta, degree, k)
+    smax = s_max_exact(h, delta, k)
     if smax <= delta:
         return ZERO
     big_l = _log_ratio(smax, delta)
     return LogNumber(1, k * math.log(big_l) - math.lgamma(k + 1))
 
 
-def first_bound(h: int, delta, degree: int = 3) -> LogNumber:
-    """Closed-form coefficient with k = [h/degree] primes kept.
+def first_bound(h: int, delta) -> LogNumber:
+    """Closed-form coefficient with k = [h/3] primes kept.
 
-    Zero (empty region) once h*delta >= degree; for degree 3 and
-    delta = 1/321 that is every h >= 963.
+    Zero (empty region) once h*delta >= 3; for delta = 1/321 that is every
+    h >= 963.
     """
-    delta = checked_delta(delta, h, degree)
-    k = h // degree
-    if k < 1:
-        raise DomainError(f"h={h} below degree={degree} leaves no primes to keep")
-    return _closed_form(h, delta, degree, k)
+    delta = checked_delta(delta, h)
+    return _closed_form(h, delta, h // 3)
 
 
 def _lower(p: BoundParams) -> float:
     """Lower constraint L = (h-k-3)/(h-k-1) of a tilted term, after checking
-    that p admits one (degree 3 and k <= h-2; the K boundary term uses the
-    closed form instead)."""
-    if p.degree != 3:
-        raise DomainError("tilted terms are defined for degree 3 only")
+    that p admits one (k <= h-2; the K boundary term uses the closed form
+    instead)."""
     if p.k > p.h - 2:
         raise DomainError(f"tilted term needs k <= h-2, got k={p.k}, h={p.h}")
     return (p.h - p.k - 3) / (p.h - p.k - 1)
@@ -234,18 +224,14 @@ def second_bound_detail(
     k0 = h // 3
     if not (k0 <= K <= h - 1):
         raise DomainError(f"K must lie in [{k0}, {h - 1}], got {K}")
-    params = [BoundParams(h, delta, 3, k) for k in range(k0, K)]
+    params = [BoundParams(h, delta, k) for k in range(k0, K)]
     if alpha is None:
         choices = tuple(optimize_alpha(p, spec) for p in params)
     else:
         choices = tuple(TiltChoice(p.k, alpha, second_bound_term(p, alpha, spec), 1)
                         for p in params)
-    boundary = _closed_form(h, delta, 3, K)
+    boundary = _closed_form(h, delta, K)
     total = ln_sum([c.term_value for c in choices] + [boundary])
     return SecondBoundDetail(
         h=h, K=K, total=total, tilt_choices=choices, boundary_term=boundary
     )
-
-
-def second_bound(h: int, delta, K: int, spec: QuadratureSpec = DEFAULT_SPEC) -> LogNumber:
-    return second_bound_detail(h, delta, K, spec).total

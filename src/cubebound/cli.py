@@ -11,7 +11,7 @@ Usage:
 Every run prints one JSON document (manifest + result) to stdout; the
 human-readable summary derived from that document goes to stderr. Exit codes:
 0 success/PASS, 1 usage error, 2 computation failure (an unreadable or
-unwritable cache included), 3 reproduction FAIL.
+unwritable cache or an unwritable --out file included), 3 reproduction FAIL.
 Documents are byte-reproducible when --timestamp is pinned. reproduce --jobs N
 is accepted and ignored; the pipeline runs serially.
 """
@@ -88,10 +88,8 @@ def build_parser() -> _Parser:
         bp = bsub.add_parser(variant, parents=[common])
         bp.add_argument("--h", type=int, required=True)
         bp.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
-        bp.add_argument("--rel-tol", type=float, default=1e-12)
-        if variant == "first":
-            bp.add_argument("--degree", type=int, default=3)
-        else:
+        if variant == "second":
+            bp.add_argument("--rel-tol", type=float, default=1e-12)
             bp.add_argument("--K-offset", dest="K_offset", type=int, default=20)
             bp.add_argument(
                 "--alpha",
@@ -141,18 +139,12 @@ def _manifest(command: str, parameters: dict, timestamp: str | None, seed=None) 
 
 
 def _cmd_bound(args) -> tuple[dict, dict, int]:
-    spec = QuadratureSpec(rel_tol=args.rel_tol)
     if args.variant == "first":
-        params = {
-            "subcommand": "first", "h": args.h, "delta": args.delta,
-            "degree": args.degree, "rel_tol": args.rel_tol,
-        }
-        value = first_bound(args.h, args.delta, args.degree)
-        result = {
-            "h": args.h, "delta": str(args.delta), "degree": args.degree,
-            "coefficient": _lognum_doc(value),
-        }
+        params = {"subcommand": "first", "h": args.h, "delta": args.delta}
+        value = first_bound(args.h, args.delta)
+        result = {"h": args.h, "delta": str(args.delta), "coefficient": _lognum_doc(value)}
     else:
+        spec = QuadratureSpec(rel_tol=args.rel_tol)
         params = {
             "subcommand": "second", "h": args.h, "delta": args.delta,
             "K_offset": args.K_offset, "alpha": args.alpha,
@@ -398,15 +390,15 @@ def main(argv=None) -> int:
             manifest, result, code = _cmd_reproduce(args)
         else:
             manifest, result, code = _cmd_empirical(args)
+        document = json.dumps({"manifest": manifest, "result": result},
+                              sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(document)
     except (DomainError, PrecisionError, FactorizationError, OSError) as exc:
         print(f"cubebound: error: {exc}", file=sys.stderr)
         return 2
-    document = json.dumps({"manifest": manifest, "result": result},
-                          sort_keys=True, indent=2) + "\n"
     sys.stdout.write(document)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(document)
     sys.stderr.write(_render_human(manifest, result))
     return code
 

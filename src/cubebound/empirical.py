@@ -95,10 +95,13 @@ def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
 
     A sequence's values in (1, 2^63) are tested together on numpy lanes, with
     the same small-prime divisions and witness ladder, when there are at
-    least _MR_BATCH_MIN of them; the others one at a time.
+    least _MR_BATCH_MIN of them; the others one at a time. Each value must
+    be a Python or numpy integer; a str or bytes is not taken as a sequence.
     """
-    if not isinstance(n, Sequence):
+    if isinstance(n, (str, bytes)) or not isinstance(n, Sequence):
         return _mr_int(_integer("n", n))
+    # the type test first spares _integer's isinstance on the many plain ints
+    n = [v if type(v) is int else _integer("n", v) for v in n]
     out: list[bool | None] = [None] * len(n)
     lanes = [i for i, v in enumerate(n) if 1 < v < _MONT_TOP]
     if len(lanes) >= _MR_BATCH_MIN:

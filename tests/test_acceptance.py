@@ -128,7 +128,7 @@ def test_criterion_5_bound_dominates_truth():
     parts = []
     for d_idx, delta in enumerate((Fraction(1, 10), Fraction(1, 20))):
         for h, k in MC_GRID:
-            p = BoundParams(h, delta, 3, k)
+            p = BoundParams(h, delta, k)
             seed = 1_000_000 * (d_idx + 1) + 1000 * h + k
             est, se = region_integral_mc(p, False, 1_000_000, seed=seed)
             bound = second_bound_term(p, 0.0).to_real()
@@ -260,7 +260,7 @@ def test_criterion_9_property_suite(default_report, profiles_1e5):
     parts.append(("first_bound exact at k=1", ok))
     ok = True
     for h, k in ((20, 7), (77, 30), (189, 70), (500, 210)):
-        p = BoundParams(h, delta, 3, k)
+        p = BoundParams(h, delta, k)
         cf = -math.lgamma(k + 1) + k * math.log(
             math.log(float(p.s_max / p.delta))
         )

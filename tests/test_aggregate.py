@@ -92,11 +92,9 @@ def test_splitting_invariance():
 
 
 def test_second_with_boundary_offset_reproduces_first_termwise():
-    # K = [h/3] makes every tilted sum empty, leaving the closed form
-    for h in (135, 160):
-        detail = second_bound_detail(h, D321, h // 3)
-        want = first_bound(h, D321)
-        assert detail.total.log_mag == pytest.approx(want.log_mag, abs=1e-9)
+    # K = [h/3] makes every tilted sum empty, leaving the closed form exactly
+    for h in range(3, 1000):
+        assert second_bound_detail(h, D321, h // 3).total == first_bound(h, D321), h
 
 
 def test_second_method_at_small_h_clamps_K():
@@ -109,7 +107,7 @@ def test_second_method_at_small_h_clamps_K():
 
 def test_tilt_search_work_budget(default_report):
     # exp_integral calls per optimised k-term, independent of the machine
-    choices = default_report.tilt_choices
+    choices = [c for t in default_report.per_h_terms for c in t.tilt_choices]
     assert len(choices) == 1140
     assert sum(c.evaluations for c in choices) <= 10 * len(choices)
 
@@ -131,7 +129,7 @@ def test_final_constants_fields(default_report):
     assert [t.h for t in rep.per_h_terms] == list(range(133, 964))
     assert all(t.method == "second" for t in rep.per_h_terms if t.h < 190)
     assert all(t.method == "first" for t in rep.per_h_terms if t.h >= 190)
-    assert rep.tilt_choices  # optimiser metadata is carried through
+    assert any(t.tilt_choices for t in rep.per_h_terms)  # optimiser metadata is carried through
 
 
 def test_final_constants_inversion_identity(default_report):

@@ -12,7 +12,6 @@ from cubebound import (
     ZERO,
     first_bound,
     optimize_alpha,
-    second_bound,
     second_bound_detail,
     second_bound_term,
 )
@@ -59,21 +58,11 @@ def test_empty_region_beyond_963():
     assert first_bound(962, D321).sign == 1
 
 
-def test_general_degree():
-    # k = [h/degree] and the degree replaces the 3 in the numerator
-    got = first_bound(8, D10, degree=4)
-    assert got.to_real() == pytest.approx(closed_form(8, D10, 4, 2), rel=1e-12)
-
-
 def test_first_bound_validation():
     with pytest.raises(DomainError):
         first_bound(2, D321)
     with pytest.raises(DomainError):
         first_bound(10, Fraction(3, 2))
-    with pytest.raises(DomainError):
-        first_bound(10, D321, degree=1)
-    with pytest.raises(DomainError):
-        first_bound(3, D321, degree=4)  # k = 0
     with pytest.raises(DomainError):
         first_bound(10, 0.05)  # floats are not exact rationals
 
@@ -92,7 +81,7 @@ def test_first_bound_monotonicity_profile():
 
 def test_zero_tilt_reduces_to_closed_form():
     for h, k in ((10, 3), (50, 20), (133, 44), (400, 170), (963, 321)):
-        p = BoundParams(h, D321, 3, k)
+        p = BoundParams(h, D321, k)
         got = second_bound_term(p, 0.0)
         want = first_bound(h, D321) if k == h // 3 else None
         if h >= 963:
@@ -107,7 +96,7 @@ def test_zero_tilt_reduces_to_closed_form():
 def test_term_against_composed_oracle():
     # independent evaluation from the Ei series oracle plus exact log-gamma
     h, k, alpha = 150, 50, 200.0
-    p = BoundParams(h, D321, 3, k)
+    p = BoundParams(h, D321, k)
     got = second_bound_term(p, alpha)
     smax = float(p.s_max)
     integral = exp_integral_oracle(alpha, 1.0 / 321.0, smax)
@@ -117,26 +106,26 @@ def test_term_against_composed_oracle():
 
 
 def test_term_validation():
-    p = BoundParams(10, D321, 3, 9)  # k = h-1 is a valid parameter bundle
+    p = BoundParams(10, D321, 9)  # k = h-1 is a valid parameter bundle
     with pytest.raises(DomainError):
         second_bound_term(p, 0.0)  # but not a tilted term (needs k <= h-2)
     with pytest.raises(DomainError):
-        second_bound_term(BoundParams(10, D321, 3, 4), -1.0)
+        second_bound_term(BoundParams(10, D321, 4), -1.0)
     with pytest.raises(DomainError):
-        BoundParams(10, D321, 3, 2)  # below [h/3]
+        BoundParams(10, D321, 2)  # below [h/3]
 
 
 def test_tilt_is_free_when_lower_constraint_vanishes():
     # k = h-3 kills the exponent, the integral grows with alpha, so alpha* = 0
-    choice = optimize_alpha(BoundParams(20, D321, 3, 17))
+    choice = optimize_alpha(BoundParams(20, D321, 17))
     assert choice.alpha == 0.0
     assert choice.term_value.log_mag == pytest.approx(
-        second_bound_term(BoundParams(20, D321, 3, 17), 0.0).log_mag, abs=1e-12
+        second_bound_term(BoundParams(20, D321, 17), 0.0).log_mag, abs=1e-12
     )
 
 
 def test_optimizer_beats_untilted_and_matches_dense_grid():
-    p = BoundParams(133, D321, 3, 44)
+    p = BoundParams(133, D321, 44)
     choice = optimize_alpha(p)
     at_zero = second_bound_term(p, 0.0)
     assert choice.alpha > 0.0
@@ -152,7 +141,7 @@ def test_optimizer_beats_untilted_and_matches_dense_grid():
 
 def test_optimizer_soundness_sample():
     for h, k in ((15, 5), (40, 13), (90, 35), (150, 52), (189, 70)):
-        p = BoundParams(h, D321, 3, k)
+        p = BoundParams(h, D321, k)
         choice = optimize_alpha(p)
         assert choice.term_value.log_mag <= second_bound_term(p, 0.0).log_mag + 1e-9
 
@@ -160,7 +149,7 @@ def test_optimizer_soundness_sample():
 def test_tilt_choice_recomputable():
     # the reported term value is reproducible from (k, alpha) alone
     for h, k in ((30, 10), (133, 44), (160, 60)):
-        p = BoundParams(h, D321, 3, k)
+        p = BoundParams(h, D321, k)
         choice = optimize_alpha(p)
         again = second_bound_term(p, choice.alpha)
         assert again.log_mag == pytest.approx(choice.term_value.log_mag, abs=1e-9)
@@ -187,7 +176,7 @@ def test_optimizer_first_order_optimality_against_oracle():
             for k in {h // 3, h // 3 + 3, (h // 3 + h - 2) // 2, h - 4, h - 3, h - 2}:
                 if not h // 3 <= k <= h - 2:
                     continue
-                p = BoundParams(h, delta, 3, k)
+                p = BoundParams(h, delta, k)
                 if p.is_empty():
                     continue
                 choice = optimize_alpha(p)
@@ -207,7 +196,7 @@ def test_bracket_guards_a_wrong_curvature(monkeypatch):
     # f'' only proposes Newton steps: far too small (steps overshoot) or of
     # the wrong sign (no Newton step, bisection only), the bracket on the sign
     # of f' still finds the same tilt
-    p = BoundParams(133, D321, 3, 44)
+    p = BoundParams(133, D321, 44)
     want = optimize_alpha(p)
     moments = bounds._tilted_moments
     for scale in (1e-6, -1.0):
@@ -225,22 +214,22 @@ def test_bracket_guards_a_wrong_curvature(monkeypatch):
 def test_unsettled_tilt_search_raises(monkeypatch):
     monkeypatch.setattr(bounds, "_MAX_STEPS", 2)
     with pytest.raises(PrecisionError):
-        optimize_alpha(BoundParams(133, D321, 3, 44))
+        optimize_alpha(BoundParams(133, D321, 44))
 
 
 # ---------------------------------------------------------------------------
-# second_bound
+# second_bound_detail
 # ---------------------------------------------------------------------------
 
 def test_boundary_K_reduces_to_first_bound():
     for h in (9, 30, 133):
-        got = second_bound(h, D321, h // 3)
+        got = second_bound_detail(h, D321, h // 3).total
         assert got.log_mag == pytest.approx(first_bound(h, D321).log_mag, abs=1e-12)
         assert got.sign == first_bound(h, D321).sign
 
 
 def test_second_bound_sharper_at_133():
-    got = second_bound(133, D321, 64)
+    got = second_bound_detail(133, D321, 64).total
     assert got.sign == 1
     assert got < first_bound(133, D321)
 
@@ -258,7 +247,7 @@ def test_second_bound_detail_fixed_alpha():
     assert [c.k for c in fixed.tilt_choices] == list(range(13, 33))
     for c in fixed.tilt_choices:
         assert (c.alpha, c.evaluations) == (5.0, 1)
-        assert c.term_value == second_bound_term(BoundParams(40, D321, 3, c.k), 5.0)
+        assert c.term_value == second_bound_term(BoundParams(40, D321, c.k), 5.0)
     assert fixed.boundary_term == optimised.boundary_term
     assert optimised.total < fixed.total
 
@@ -267,7 +256,7 @@ def test_parameter_checks_are_shared():
     # one validation helper behind every entry point, with the same messages
     for make in (
         lambda h, d: first_bound(h, d),
-        lambda h, d: BoundParams(h, d, 3, 1),
+        lambda h, d: BoundParams(h, d, 1),
         lambda h, d: second_bound_detail(h, d, 1),
     ):
         with pytest.raises(DomainError, match="h must be at least 3"):
@@ -278,15 +267,13 @@ def test_parameter_checks_are_shared():
             make(5, 0.1)
     with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
         AggregateConfig(delta=Fraction(3, 2))
-    with pytest.raises(DomainError, match="degree must be at least 2"):
-        BoundParams(5, D321, 1, 4)
 
 
 def test_second_bound_validation():
     with pytest.raises(DomainError):
-        second_bound(30, D321, 9)  # K below [h/3]
+        second_bound_detail(30, D321, 9)  # K below [h/3]
     with pytest.raises(DomainError):
-        second_bound(30, D321, 30)  # K above h-1
+        second_bound_detail(30, D321, 30)  # K above h-1
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +282,7 @@ def test_second_bound_validation():
 
 def test_mc_k1_is_exact_full_interval():
     # k = 1 instance: box and region coincide, estimate matches log(3/(h*delta))
-    p1 = BoundParams(4, D10, 3, 1)
+    p1 = BoundParams(4, D10, 1)
     est, se = region_integral_mc(p1, False, 200_000, seed=42)
     want = math.log(3.0 / (4 * 0.1))
     assert abs(est - want) <= 3 * se
@@ -303,25 +290,25 @@ def test_mc_k1_is_exact_full_interval():
 
 
 def test_mc_dominated_by_closed_form():
-    p = BoundParams(6, D10, 3, 2)
+    p = BoundParams(6, D10, 2)
     est, se = region_integral_mc(p, False, 400_000, seed=7)
     assert est <= HALF_LOG_58_SQ + 3 * se
 
 
 def test_mc_with_lower_constraint_dominated_by_tilted_term():
-    p = BoundParams(9, D10, 3, 3)
+    p = BoundParams(9, D10, 3)
     est, se = region_integral_mc(p, True, 400_000, seed=11)
     bound = optimize_alpha(p).term_value.to_real()
     assert est <= bound + 3 * se
 
 
 def test_mc_degenerate_region():
-    p = BoundParams(7, Fraction(1, 2), 3, 2)  # s_max < delta
+    p = BoundParams(7, Fraction(1, 2), 2)  # s_max < delta
     assert region_integral_mc(p, False, 100_000, seed=1) == (0.0, 0.0)
 
 
 def test_mc_validation():
     with pytest.raises(DomainError):
-        region_integral_mc(BoundParams(30, D321, 3, 10), False, 100_000, seed=1)  # k > 8
+        region_integral_mc(BoundParams(30, D321, 10), False, 100_000, seed=1)  # k > 8
     with pytest.raises(DomainError):
-        region_integral_mc(BoundParams(9, D10, 3, 3), False, 50_000, seed=1)
+        region_integral_mc(BoundParams(9, D10, 3), False, 50_000, seed=1)

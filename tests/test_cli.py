@@ -31,7 +31,7 @@ def test_bound_first_basic(capsys):
     assert code == 0
     doc = doc_of(out)
     assert doc["manifest"]["command"] == "bound first"
-    assert doc["manifest"]["parameters"]["delta"] == "1/321"
+    assert doc["manifest"]["parameters"] == {"subcommand": "first", "h": "3", "delta": "1/321"}
     assert doc["manifest"]["tool_version"]
     coeff = doc["result"]["coefficient"]
     assert coeff["sign"] == 1
@@ -87,6 +87,11 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["bound", "first", "--h", "3", "--delta", "1/321", "--max-depth", "60"]) == 1
     capsys.readouterr()
+    # the closed form is for the cubic only and runs no quadrature
+    assert main(["bound", "first", "--h", "3", "--delta", "1/321", "--degree", "3"]) == 1
+    capsys.readouterr()
+    assert main(["bound", "first", "--h", "3", "--delta", "1/321", "--rel-tol", "1e-12"]) == 1
+    capsys.readouterr()
 
 
 def test_domain_errors_exit_2(capsys):
@@ -115,6 +120,17 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     )
     assert path.read_text() == out
     assert doc_of(out)["result"]["nu"] == 3
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_exits_2(capsys, tmp_path, where):
+    out_path = tmp_path if where == "directory" else tmp_path / "missing" / "doc.json"
+    code, out, err = run_cli(
+        capsys, "empirical", "nu", "--d", "31", "--timestamp", "T0", "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cubebound: error:") and str(out_path) in err
 
 
 def test_empirical_count_cli(capsys, tmp_path):

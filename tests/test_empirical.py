@@ -207,7 +207,9 @@ def test_nu_validation():
             count_cubic_roots(bad)
         with pytest.raises(DomainError, match="integer"):
             nu_from_factors({bad: 1})
-    for bad in (2.5, 31.0):
+    # a str is no sequence of values, and each value of a sequence is checked:
+    # 7.9 on lanes would be cast to the prime 7
+    for bad in (2.5, 31.0, "31", b"31", [7.9] * 400, [9.5], [31, np.float64(31.0)]):
         with pytest.raises(DomainError, match="integer"):
             is_certified_prime(bad)
     with pytest.raises(DomainError, match="integer"):
@@ -221,9 +223,15 @@ def test_nu_takes_numpy_integers_as_ints():
         assert count_cubic_roots(t(29)) == 1
         assert nu_from_factors({t(31): 2}) == nu_from_factors({t(31): t(2)}) == nu(31**2) == 3
         assert nu(t(31 * 29)) == 3
-        for v in (31, 2**40 + 15, 2**40 + 17, 2**61 - 1, (2**31 - 1) * (2**31 + 11)):
-            assert is_certified_prime(t(v)) == sympy.isprime(v), (t, v)
+        values = (31, 2**40 + 15, 2**40 + 17, 2**61 - 1, (2**31 - 1) * (2**31 + 11))
+        want = [sympy.isprime(v) for v in values]
+        assert [is_certified_prime(t(v)) for v in values] == want, t
+        # in a sequence: one at a time, and on lanes once there are enough
+        assert is_certified_prime([t(v) for v in values]) == want, t
+        assert is_certified_prime([t(v) for v in values] * 100) == want * 100, t
         assert sieve_primes(t(100)) == sieve_primes(100)
+    big = [2**64 - 59, 2**64 - 57]  # above 2^63, where values stay on Python ints
+    assert is_certified_prime([np.uint64(v) for v in big]) == [sympy.isprime(v) for v in big]
 
 
 def test_nu_from_factors_matches_direct():
