@@ -9,15 +9,15 @@ the cubic character of -2, and nu(p^e) = nu(p) for p >= 5, where every root
 is simple and lifts uniquely, while 2 and 3 have one root each and none mod
 4 or 9. The roots themselves are built only for the root table.
 
-The factorisation is sieve-driven: one array holds the next hit of every
-root r of n^3+2 == 0 (mod p) in the root table, each segment walks the
-progressions of the roots that hit it and divides p out at every hit, and
-the sieve reports each division, which the caller tallies. The remaining
-cofactor has at most two prime factors, all above the table limit (the
-limit is at least n, and three factors above n would exceed (n+1)^3 >
-n^3+2), and is certified prime or split once. Counting decides each n from
-its sieved count and tests the cofactor only when it can change the
-verdict. Everything runs in one process, a segment at a time.
+The factorisation is sieve-driven and divides no value: one array holds
+the next hit of every root r of n^3+2 == 0 (mod p) in the root table, each
+segment expands the progressions of the roots that hit it into numpy index
+arrays, and the residual left by the hit primes is exact from a 2-adic
+inverse and a float estimate. It has at most two prime factors, all above
+the table limit (the limit is at least n, and three factors above n would
+exceed (n+1)^3 > n^3+2), and is certified prime or split once. Counting
+decides each n on arrays and tests the residual only when it can change
+the verdict. Everything runs in one process, a segment at a time.
 
 Each segment's cofactors are classified in one batch: Miller-Rabin with the
 same witness ladder, and Pollard-Brent with every walk in lockstep, run in
@@ -105,7 +105,8 @@ def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
     out: list[bool | None] = [None] * len(n)
     lanes = [i for i, v in enumerate(n) if 1 < v < _MONT_TOP]
     if len(lanes) >= _MR_BATCH_MIN:
-        for i, prime in zip(lanes, _mr_lanes(_lane_values(n, lanes)).tolist()):
+        verdicts = _mr_lanes(np.array([n[i] for i in lanes], dtype=np.uint64))
+        for i, prime in zip(lanes, verdicts.tolist()):
             out[i] = prime
     return [_mr_int(v) if p is None else p for v, p in zip(n, out)]
 
@@ -175,6 +176,14 @@ def _mulhi(a0, a1, b0, b1) -> np.ndarray:
     return hi
 
 
+def _inverse_mod_2_64(a: np.ndarray) -> np.ndarray:
+    """a^-1 mod 2^64 on odd uint64 lanes, by Newton from a*a == 1 (mod 8)."""
+    inv = a.copy()
+    for _ in range(5):
+        inv *= 2 - a * inv
+    return inv
+
+
 class _Mont(NamedTuple):
     """Montgomery arithmetic x -> x*R mod m with R = 2^64, one odd modulus
     1 < m < 2^63 per uint64 lane. Every residue argument is below m."""
@@ -187,10 +196,7 @@ class _Mont(NamedTuple):
 
     @classmethod
     def of(cls, m: np.ndarray) -> _Mont:
-        inv = m.copy()  # m*m == 1 (mod 8) for odd m; each step doubles the bits
-        for _ in range(5):
-            inv *= 2 - m * inv
-        return cls(m, *_halves(m), inv, np.uint64(0xFFFF_FFFF_FFFF_FFFF) % m + 1)
+        return cls(m, *_halves(m), _inverse_mod_2_64(m), np.uint64(2**64 - 1) % m + 1)
 
     def take(self, keep: np.ndarray) -> _Mont:
         return _Mont(*(a[keep] for a in self))
@@ -265,10 +271,6 @@ def _strong_probable_primes(m: np.ndarray, a: int) -> np.ndarray:
     return passes
 
 
-def _lane_values(values: Sequence[int], lanes: list[int]) -> np.ndarray:
-    return np.array([values[i] for i in lanes], dtype=np.uint64)
-
-
 def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """The c = 1 walk of _brent_int on odd composite lanes below 2^63, in
     lockstep: every lane shares the r-doubling schedule and takes a gcd every
@@ -320,6 +322,11 @@ def _pow_lanes(a: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x
 
 
+# lanes per block of the prime sums and of count_cubic_roots: 2^16 ran no
+# faster, and its numpy temporaries raised the peak memory of a count run
+_PRIME_BLOCK = 1 << 14
+
+
 def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
     """nu(p) for prime p, or for each lane of a uint64 array of primes below
     2^32, without computing the roots themselves.
@@ -336,15 +343,11 @@ def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
     if p.size and int(p.max()) >> 32:
         raise DomainError(f"lane primes must lie below 2^32, got {int(p.max())}")
     counts = np.ones(p.shape, dtype=np.int64)
-    lanes = np.flatnonzero(p % 3 == 1)
-    m = p[lanes]
-    counts[lanes] = np.where(_pow_lanes(m - 2, (m - 1) // 3, m) == 1, 3, 0)
+    lanes = np.flatnonzero(p % 3 == 1)  # taken in blocks that stay in cache
+    for block in np.split(lanes, range(_PRIME_BLOCK, lanes.size, _PRIME_BLOCK)):
+        m = p[block]
+        counts[block] = np.where(_pow_lanes(m - 2, (m - 1) // 3, m) == 1, 3, 0)
     return counts
-
-
-# primes per block of the prime sums: 2^16 ran no faster, and its numpy
-# temporaries raised the peak memory of a count run
-_PRIME_BLOCK = 1 << 14
 
 
 def _trial_factor(d: int) -> dict[int, int]:
@@ -647,7 +650,7 @@ def _pollard_brent(values: list[int], ns: Sequence[int]) -> list[int]:
     _brent_int finishes the walks that did not split there."""
     divisors = [0] * len(values)
     lanes = [i for i, v in enumerate(values) if v % 2 and v < _MONT_TOP]
-    found, states = _brent_lanes(_lane_values(values, lanes))
+    found, states = _brent_lanes(np.array([values[i] for i in lanes], dtype=np.uint64))
     for i, d in zip(lanes, found):
         divisors[i] = d
     resume = {lanes[j]: state for j, state in states.items()}
@@ -696,39 +699,73 @@ def _cofactor_primes(
 
 def _sieved_segments(
     job: RangeJob, table: RootTable, progress: Callable[[int, int], None] | None
-) -> Iterator[tuple[int, int, list[int], list[int], list[int]]]:
-    """Divide every table prime out of each segment of (x_min, x_max].
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Sieve every table prime out of each segment lo..hi of (x_min, x_max],
+    without dividing a value.
 
-    Yields (lo, hi, residual, at, by) where residual[i] is what is left of
-    (lo+i)^3 + 2 and each j is one division: the prime by[j] was divided
-    once out of the value at index at[j]. progress(lo, hi) fires once the
-    caller has taken the segment in and asks for the next.
-    One array holds each root's next hit n >= x_min + 1. A segment walks the
-    progression of every root whose hit falls inside it, then moves those
-    hits past its end.
+    Yields (lo, hi, m, k, at, by), then fires progress(lo, hi): the prime
+    by[j] divides the value at index at[j] once per j, and m + k*2^64
+    (uint64 arrays) is the exact residual of (lo+i)^3 + 2 after every
+    division. One array holds each root's next hit n >= x_min + 1; a
+    segment expands the progressions of the roots that hit it into one
+    (at, by) per hit, and moves those hits past its end.
+    m*P is the value, or its odd half n^3/2 + 1 for even n (4 never divides
+    n^3 + 2), with P the product of the odd divisions, so m is that value
+    mod 2^64, in wrapping uint64 arithmetic, times the inverse mod 2^64 of
+    each prime of P (taken once per table; 1 for p = 2). The value is below
+    1e21 + 2 < 2^70, with at most 32 prime factors counted with
+    multiplicity, so est = fl(n^3 + 2) divided by each division's prime
+    takes at most 34 roundings (n^2 is exact): |est - m| < 34*2^-53*2^70 <
+    2^23. With m's rounding to a float (2^10), k = rint((est - m mod
+    2^64)/2^64) is exact; est further than 2^24 from m + k*2^64 raises
+    FactorizationError. Each prime that divided is tried again, in rounds:
+    q divides the residual where (m mod q + k*(2^64 mod q)) mod q is 0.
     """
     base = job.x_min + 1
     p = table.p.astype(np.int64)
     hits = base + (table.r.astype(np.int64) - base) % p
+    inverses = _inverse_mod_2_64(table.p >> (table.p == 2))  # m starts odd: 1 for p = 2
     for lo in range(base, job.x_max + 1, job.segment_size):
         hi = min(lo + job.segment_size - 1, job.x_max)
-        residual = [n * n * n + 2 for n in range(lo, hi + 1)]
-        at: list[int] = []
-        by: list[int] = []
         now = np.flatnonzero(hits <= hi)
-        step = p[now]
-        for q, first in zip(step.tolist(), (hits[now] - lo).tolist()):
-            for idx in range(first, len(residual), q):
-                v = residual[idx]
-                while v % q == 0:
-                    v //= q
-                    at.append(idx)
-                    by.append(q)
-                residual[idx] = v
-        hits[now] += ((hi - hits[now]) // step + 1) * step
-        yield lo, hi, residual, at, by
+        first, step = hits[now], p[now]
+        count = (hi - first) // step + 1  # hits of each root in the segment
+        hits[now] += count * step
+        by, inv = np.repeat(table.p[now], count), np.repeat(inverses[now], count)
+        at = np.arange(by.size) - np.repeat(np.cumsum(count) - count, count)
+        at *= np.repeat(step, count)
+        at += np.repeat(first - lo, count)
+        n = np.arange(lo, hi + 1, dtype=np.uint64)
+        even = ~n & 1
+        m = (n * n >> even) * n + 2 - even  # the value, or its odd half n^3/2 + 1
+        np.multiply.at(m, at, inv)
+        f = n.astype(np.float64)
+        est = f * f * f + 2
+        np.divide.at(est, at, by)
+        divisions = [(at, by)]
+        while True:
+            t = (est - m) * 2.0**-64
+            k = np.rint(t)
+            if (off := np.abs(t - k) > 2.0**-40).any():
+                raise FactorizationError(lo + int(np.argmax(off)), "residual off its estimate")
+            k = k.astype(np.uint64)
+            r = m[at] % by
+            if k.any():  # 2^64 mod q = (2^64 - 1) mod q + 1
+                r = (r + k[at] * (np.uint64(2**64 - 1) % by + 1)) % by
+            at, by, inv = at[r == 0], by[r == 0], inv[r == 0]
+            if not at.size:
+                break
+            divisions.append((at, by))
+            np.multiply.at(m, at, inv)  # the quotient is exact, so it is m/q mod 2^64
+            np.divide.at(est, at, by)
+        yield (lo, hi, m, k, *map(np.concatenate, zip(*divisions)))
         if progress is not None:
             progress(lo, hi)
+
+
+def _residual_ints(m: np.ndarray, k: np.ndarray, lanes: np.ndarray) -> list[int]:
+    """The residuals m + k*2^64 on the given lanes as Python ints."""
+    return [a | b << 64 for a, b in zip(m[lanes].tolist(), k[lanes].tolist())]
 
 
 def _covering_table(job: RangeJob, table: RootTable | None) -> RootTable:
@@ -753,12 +790,13 @@ def factor_range(
     FactorizationError rather than passing silently.
     """
     table = _covering_table(job, table)
-    for lo, hi, residual, at, by in _sieved_segments(job, table, progress):
-        for idx, p in _cofactor_primes(residual, range(lo, hi + 1), table.limit):
-            at.append(idx)
-            by.append(p)
-        found: list[dict[int, int]] = [{} for _ in residual]
-        for idx, p in zip(at, by):
+    for lo, hi, m, k, at, by in _sieved_segments(job, table, progress):
+        rest = np.flatnonzero((m > 1) | (k > 0))
+        pairs = _cofactor_primes(_residual_ints(m, k, rest), (lo + rest).tolist(), table.limit)
+        found: list[dict[int, int]] = [{} for _ in range(m.size)]
+        # unnamed lists: their ints are freed before the profiles go out
+        for idx, p in zip(at.tolist() + [int(rest[j]) for j, _ in pairs],
+                          by.tolist() + [p for _, p in pairs]):
             found[idx][p] = found[idx].get(p, 0) + 1
         for idx, fac in enumerate(found):
             n = lo + idx
@@ -779,40 +817,32 @@ def empirical_T(
 ) -> int:
     """Exact count of n in (x_min, x_max] whose value has at least h prime
     factors >= threshold (with multiplicity), segment by segment in one
-    process; progress(lo, hi) fires after each segment.
+    process; progress(lo, hi) fires after each segment. Each n is decided on
+    arrays from om, its divisions by primes >= threshold: a residual m > 1 is
+    a prime or two primes above limit >= n, so it becomes a Python int only
+    when om is h-1 or h-2, where it can change the verdict.
     """
     table = _covering_table(job, table)
-    # Every prime up to limit >= n has been stripped, so a residual m > 1 is a
-    # prime or a product of two primes, all above limit: it adds one or two
-    # factors and is looked at only when the sieved count om is h-1 or h-2.
     h, threshold, limit = job.h, job.threshold, table.limit
     split = threshold > limit + 1  # residual factors may fall below the threshold
     count = 0
-    for lo, hi, residual, at, by in _sieved_segments(job, table, progress):
-        above = [0] * len(residual)  # factors >= threshold, with multiplicity
-        for idx, p in zip(at, by):
-            if p >= threshold:
-                above[idx] += 1
-        tested, open_ = [], []
-        for idx, (m, om) in enumerate(zip(residual, above)):
-            if om >= h:
-                count += 1
-            elif om + 2 < h or m == 1:
-                continue
-            elif split:
-                open_.append(idx)
-            elif om == h - 1:
-                # every residual factor counts: one is always there, and a
-                # second exactly when m is composite (m <= limit^2 is prime)
-                count += 1
-            elif m > limit * limit:
-                tested.append(m)
-        if tested:
-            count += is_certified_prime(tested).count(False)
-        ms = [residual[i] for i in open_]
-        for j, p in _cofactor_primes(ms, [lo + i for i in open_], limit):
-            above[open_[j]] += p >= threshold
-        count += sum(above[i] >= h for i in open_)
+    for lo, hi, m, k, at, by in _sieved_segments(job, table, progress):
+        om = np.bincount(at[by >= threshold], minlength=m.size)  # factors >= threshold
+        count += int(np.count_nonzero(om >= h))
+        near = (om < h) & (om + 2 >= h) & ((m > 1) | (k > 0))
+        if split:
+            lanes = np.flatnonzero(near)
+            above = om[lanes].tolist()
+            for j, p in _cofactor_primes(_residual_ints(m, k, lanes), (lo + lanes).tolist(), limit):
+                above[j] += p >= threshold
+            count += sum(a >= h for a in above)
+            continue
+        # every residual factor counts: one is always there, and a second
+        # exactly when m is composite (m <= limit^2 is prime)
+        count += int(np.count_nonzero(near & (om == h - 1)))
+        tested = np.flatnonzero(near & (om == h - 2) & ((m > limit * limit) | (k > 0)))
+        if tested.size:
+            count += is_certified_prime(_residual_ints(m, k, tested)).count(False)
     return count
 
 

@@ -24,7 +24,7 @@ from cubebound import (
     save_root_table,
 )
 from cubebound import empirical
-from cubebound.empirical import is_certified_prime, sieve_primes
+from cubebound.empirical import MAX_RANGE_TOP, is_certified_prime, sieve_primes
 
 from oracles import (
     cubic_roots_enumerate,
@@ -267,6 +267,14 @@ def test_cube_roots_match_enumeration_everywhere(roots_enum_1e5):
     assert count_cubic_roots(primes).tolist() == [len(roots_enum_1e5[p]) for p in primes.tolist()]
 
 
+def test_lane_cubic_root_counts_join_across_blocks(roots_enum_1e5, monkeypatch):
+    # the p == 1 (mod 3) lanes go in blocks of _PRIME_BLOCK; blocks of 7
+    # put a seam every few lanes
+    monkeypatch.setattr(empirical, "_PRIME_BLOCK", 7)
+    primes = np.array(sorted(roots_enum_1e5), dtype=np.uint64)
+    assert count_cubic_roots(primes).tolist() == [len(roots_enum_1e5[p]) for p in primes.tolist()]
+
+
 def test_lane_cubic_root_counts_match_scalar_near_the_caps():
     # near the 1e8 cap of mertens_check and below 2^32, where p^2 nearly
     # fills a uint64 lane
@@ -374,31 +382,32 @@ def test_empirical_T_monotone_in_h_and_threshold():
     assert counts_t == sorted(counts_t, reverse=True)
 
 
-def test_counting_path_matches_profile_path():
+def test_counting_path_matches_profile_path(exact_factors):
+    # both paths read the one sieve, so each is held to sympy's factorisations
     table = build_root_table(3000)
     for threshold, h in ((2, 4), (50, 3), (2900, 2), (3200, 1)):
         job = RangeJob(x_min=2000, x_max=3000, threshold=threshold, h=h)
+        want = sum(
+            1 for f in exact_factors[2000, 3000].values()
+            if sum(e for p, e in f.items() if p >= threshold) >= h
+        )
         via_profiles = sum(
             1 for p in factor_range(job, table) if p.omega_above(threshold) >= h
         )
-        assert empirical_T(job, table) == via_profiles, (threshold, h)
+        assert empirical_T(job, table) == via_profiles == want, (threshold, h)
 
 
 # exact factorisations of n^3+2 over two windows: trial division on the
-# small one, the profile path on the larger one
-_WINDOWS = {(0, 300): "trial", (2000, 3000): "profiles"}
+# small one, sympy on the larger one; neither reads the sieve under test
+_WINDOWS = {(0, 300): trial_factor, (2000, 3000): sympy.factorint}
 
 
 @pytest.fixture(scope="module")
 def exact_factors():
-    out = {}
-    for (x_min, x_max), oracle in _WINDOWS.items():
-        if oracle == "trial":
-            out[x_min, x_max] = {n: trial_factor(n**3 + 2) for n in range(x_min + 1, x_max + 1)}
-        else:
-            job = RangeJob(x_min=x_min, x_max=x_max, threshold=2, h=0)
-            out[x_min, x_max] = {p.n: dict(p.factors) for p in factor_range(job)}
-    return out
+    return {
+        (x_min, x_max): {n: dict(oracle(n**3 + 2)) for n in range(x_min + 1, x_max + 1)}
+        for (x_min, x_max), oracle in _WINDOWS.items()
+    }
 
 
 def _sieved_view(factors, limit, threshold):
@@ -510,6 +519,90 @@ def test_segment_independence():
             for seg in sizes:
                 job = RangeJob(1000, 2000, threshold=threshold, h=h, segment_size=seg)
                 assert empirical_T(job, table) == want, (threshold, h, seg)
+
+
+# windows that reach every branch of the sieve: 5^e with e >= 3 and p^2
+# with p >= 32 below 300, and just below MAX_RANGE_TOP residuals of 2^64
+# and above, among them 9999897^3 + 2 = 5^2 * q, whose second division by 5
+# is tested against the residual's high word (sympy takes about 12 ms a
+# value there, so the window is 150 values wide)
+_SIEVE_WINDOWS = ((0, 300), (MAX_RANGE_TOP - 150, MAX_RANGE_TOP))
+
+
+@pytest.fixture(scope="module")
+def sieve_windows():
+    return {
+        (x_min, x_max): (
+            build_root_table(x_max),
+            {n: sympy.factorint(n**3 + 2) for n in range(x_min + 1, x_max + 1)},
+        )
+        for x_min, x_max in _SIEVE_WINDOWS
+    }
+
+
+def test_sieve_windows_reach_every_branch(sieve_windows):
+    (_, small), (table, top) = sieve_windows.values()
+    assert any(f.get(5, 0) >= 3 for f in small.values())
+    assert any(p >= 32 and e >= 2 for f in small.values() for p, e in f.items())
+
+    def first_pass(n, f):  # the residual once each hit prime is divided out once
+        return (n**3 + 2) // math.prod(p for p in f if p <= table.limit)
+
+    wide = [n for n, f in top.items() if first_pass(n, f) >= 2**64]
+    assert len(wide) > 10
+    assert any(e >= 2 for n in wide for p, e in top[n].items() if p <= table.limit)
+    # residuals still 2^64 or more after the sieve go to Python-int tests
+    assert any(math.prod(p**e for p, e in f.items() if p > table.limit) >= 2**64
+               for f in top.values())
+
+
+def _sieved(job, table):
+    """{n: (divisions, residual)} for each n of job, read off the sieve."""
+    out = {}
+    for lo, hi, m, k, at, by in empirical._sieved_segments(job, table, None):
+        divisions = [{} for _ in range(lo, hi + 1)]
+        for i, p in zip(at.tolist(), by.tolist()):
+            divisions[i][p] = divisions[i].get(p, 0) + 1
+        for i, d in enumerate(divisions):
+            out[lo + i] = (d, int(m[i]) + (int(k[i]) << 64))
+    return out
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 97, 1 << 16])
+def test_sieve_matches_sympy_at_every_segment_size(sieve_windows, segment_size):
+    for (x_min, x_max), (table, factors) in sieve_windows.items():
+        job = RangeJob(x_min, x_max, threshold=2, h=0, segment_size=segment_size)
+        assert _sieved(job, table) == {
+            n: ({p: e for p, e in f.items() if p <= table.limit},
+                math.prod(p**e for p, e in f.items() if p > table.limit))
+            for n, f in factors.items()
+        }
+        # the profile path adds Pollard-Brent, about 0.4 s on the top window's
+        # semiprimes of two 11-12 digit primes whatever the segment size: it
+        # runs at every size on the small window and at the default on the top
+        if x_max < 10**4 or segment_size == 1 << 16:
+            assert {p.n: dict(p.factors) for p in factor_range(job, table)} == factors
+        cases = [(2, 3)]
+        if x_max < 10**4:  # above the table every residual is split: small window only
+            cases += [(32, 2), (table.limit + 2, 1)]
+        for threshold, h in cases:
+            want = sum(
+                1 for f in factors.values() if sum(e for p, e in f.items() if p >= threshold) >= h
+            )
+            job = RangeJob(x_min, x_max, threshold, h, segment_size)
+            assert empirical_T(job, table) == want, (x_min, threshold, h)
+
+
+def test_sieve_rejects_a_residual_off_its_estimate():
+    # the root of 11 moved by one: its hits do not divide their values, and
+    # the residual's low word then disagrees with the float estimate
+    table = build_root_table(1000)
+    r = table.r.copy()
+    r[table.p == 11] = (r[table.p == 11] + 1) % 11
+    bad = RootTable(table.limit, table.p, r)
+    for run in (lambda job: empirical_T(job, bad), lambda job: list(factor_range(job, bad))):
+        with pytest.raises(FactorizationError, match="estimate"):
+            run(RangeJob(x_min=0, x_max=1000, threshold=2, h=1))
 
 
 def test_oversized_table_is_fine_and_equal():
