@@ -38,9 +38,8 @@ from .lognum import (
     ln_pow_int,
     ln_sub,
     ln_sum,
-    to_real,
 )
-from .quadrature import QuadratureSpec, exp_integral
+from .quadrature import exp_integral
 
 # the empirical harness needs numpy, so its names are imported on first use
 _EMPIRICAL = (
@@ -59,8 +58,7 @@ __all__ = [
     "DomainError", "FactorizationError", "PrecisionError",
     "ONE", "ZERO", "LogNumber", "from_fraction", "from_real", "ln_add",
     "ln_div", "ln_factorial", "ln_mul", "ln_neg", "ln_pow_int", "ln_sub",
-    "ln_sum", "to_real",
-    "QuadratureSpec", "exp_integral",
+    "ln_sum", "exp_integral",
 ]
 
 

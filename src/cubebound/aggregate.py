@@ -12,7 +12,7 @@ All reductions run in ascending h so reports are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,7 +30,6 @@ from .lognum import (
     ln_sub,
     ln_sum,
 )
-from .quadrature import QuadratureSpec
 
 _LN2 = math.log(2.0)
 
@@ -50,7 +49,6 @@ class AggregateConfig:
     h_max: int = 963
     K_offset: int = 20
     S_lower: float = 9.2e-8
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", checked_delta(self.delta))
@@ -113,7 +111,7 @@ def _per_h_entry(cfg: AggregateConfig, h: int, method: str) -> PerHTerm:
         choices: tuple[TiltChoice, ...] = ()
     else:
         K = clamped_K(h, cfg.K_offset)
-        detail = second_bound_detail(h, cfg.delta, K, cfg.quadrature)
+        detail = second_bound_detail(h, cfg.delta, K)
         coeff = detail.total
         choices = detail.tilt_choices
     # the weight min(h, [1/delta]) * 2^h is that of the proportion at H = h, inverted

@@ -29,7 +29,7 @@ from functools import cached_property
 
 from .errors import DomainError, PrecisionError
 from .lognum import ZERO, LogNumber, ln_sum
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, exp_integral
+from .quadrature import exp_integral
 
 # relative change of alpha below which the tilt search stops
 _ALPHA_RTOL = 1e-9
@@ -49,11 +49,6 @@ def checked_delta(delta, h: int = 3) -> Fraction:
     return delta
 
 
-def s_max_exact(h: int, delta: Fraction, k: int) -> Fraction:
-    """Upper coordinate limit (3 - (k-1)*delta) / (h-k+1), exactly."""
-    return (3 - (k - 1) * delta) / (h - k + 1)
-
-
 @dataclass(frozen=True)
 class BoundParams:
     """Parameters of one bound term: h large factors, cutoff exponent delta,
@@ -70,7 +65,10 @@ class BoundParams:
 
     @cached_property
     def s_max(self) -> Fraction:
-        return s_max_exact(self.h, self.delta, self.k)
+        """Upper coordinate limit (3 - (k-1)*delta) / (h-k+1), exactly,
+        built as one fraction of integers."""
+        a, b = self.delta.numerator, self.delta.denominator
+        return Fraction(3 * b - (self.k - 1) * a, b * (self.h - self.k + 1))
 
     def is_empty(self) -> bool:
         """True when s_max <= delta, i.e. the size region has no interior."""
@@ -93,13 +91,12 @@ def _log_ratio(num: Fraction, den: Fraction) -> float:
     return math.log(r.numerator) - math.log(r.denominator)
 
 
-def _closed_form(h: int, delta: Fraction, k: int) -> LogNumber:
+def _closed_form(p: BoundParams) -> LogNumber:
     """(1/k!) * log(s_max/delta)^k, or zero when the region is empty."""
-    smax = s_max_exact(h, delta, k)
-    if smax <= delta:
+    if p.is_empty():
         return ZERO
-    big_l = _log_ratio(smax, delta)
-    return LogNumber(1, k * math.log(big_l) - math.lgamma(k + 1))
+    big_l = _log_ratio(p.s_max, p.delta)
+    return LogNumber(1, p.k * math.log(big_l) - math.lgamma(p.k + 1))
 
 
 def first_bound(h: int, delta) -> LogNumber:
@@ -108,8 +105,7 @@ def first_bound(h: int, delta) -> LogNumber:
     Zero (empty region) once h*delta >= 3; for delta = 1/321 that is every
     h >= 963.
     """
-    delta = checked_delta(delta, h)
-    return _closed_form(h, delta, h // 3)
+    return _closed_form(BoundParams(h, delta, h // 3))
 
 
 def _lower(p: BoundParams) -> float:
@@ -126,9 +122,7 @@ def _log_term(k: int, lower: float, alpha: float, integral: float) -> float:
     return -alpha * lower - math.lgamma(k + 1) + k * math.log(integral)
 
 
-def second_bound_term(
-    p: BoundParams, alpha: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> LogNumber:
+def second_bound_term(p: BoundParams, alpha: float) -> LogNumber:
     """One tilted k-term: exp(-alpha*(h-k-3)/(h-k-1))/k! * I(alpha)^k with
     I(alpha) = int_delta^s_max exp(alpha*s)/s ds.
 
@@ -139,7 +133,7 @@ def second_bound_term(
     lower = _lower(p)
     if p.is_empty():
         return ZERO
-    integral = exp_integral(alpha, float(p.delta), float(p.s_max), spec)
+    integral = exp_integral(alpha, float(p.delta), float(p.s_max))
     return LogNumber(1, _log_term(p.k, lower, alpha, integral))
 
 
@@ -157,7 +151,7 @@ def _tilted_moments(alpha: float, a: float, b: float, integral: float) -> tuple[
     return mean, d2 / integral - mean * mean
 
 
-def optimize_alpha(p: BoundParams, spec: QuadratureSpec = DEFAULT_SPEC) -> TiltChoice:
+def optimize_alpha(p: BoundParams) -> TiltChoice:
     """Minimise the tilted k-term over 0 <= alpha < 700/s_max (the cap keeps
     the quadrature precondition alpha*s_max <= 700).
 
@@ -188,7 +182,7 @@ def optimize_alpha(p: BoundParams, spec: QuadratureSpec = DEFAULT_SPEC) -> TiltC
         if abs(newton - alpha) <= tol or abs(step - alpha) <= tol:
             return TiltChoice(k, best_a, LogNumber(1, best_v), evaluations=evals)
         alpha = step
-        integral = exp_integral(alpha, a, b, spec)
+        integral = exp_integral(alpha, a, b)
         value = _log_term(k, lower, alpha, integral)
         if value < best_v:
             best_a, best_v = alpha, value
@@ -211,26 +205,21 @@ def clamped_K(h: int, K_offset: int) -> int:
     return min(h // 3 + K_offset, h - 1)
 
 
-def second_bound_detail(
-    h: int, delta, K: int, spec: QuadratureSpec = DEFAULT_SPEC, alpha: float | None = None
-) -> SecondBoundDetail:
+def second_bound_detail(h: int, delta, K: int, alpha: float | None = None) -> SecondBoundDetail:
     """Sum of tilted terms for k in [[h/3], K-1] plus the closed-form K-term.
 
     Each tilt is optimised, or with alpha given every k-term is evaluated at
     that fixed tilt (one quadrature each). With K = [h/3] the sum is empty and
     this reduces to first_bound.
     """
-    delta = checked_delta(delta, h)
-    k0 = h // 3
-    if not (k0 <= K <= h - 1):
-        raise DomainError(f"K must lie in [{k0}, {h - 1}], got {K}")
-    params = [BoundParams(h, delta, k) for k in range(k0, K)]
+    top = BoundParams(h, delta, K)  # checks h, delta and K
+    params = [BoundParams(h, top.delta, k) for k in range(h // 3, K)]
     if alpha is None:
-        choices = tuple(optimize_alpha(p, spec) for p in params)
+        choices = tuple(optimize_alpha(p) for p in params)
     else:
-        choices = tuple(TiltChoice(p.k, alpha, second_bound_term(p, alpha, spec), 1)
+        choices = tuple(TiltChoice(p.k, alpha, second_bound_term(p, alpha), 1)
                         for p in params)
-    boundary = _closed_form(h, delta, K)
+    boundary = _closed_form(top)
     total = ln_sum([c.term_value for c in choices] + [boundary])
     return SecondBoundDetail(
         h=h, K=K, total=total, tilt_choices=choices, boundary_term=boundary

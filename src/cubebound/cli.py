@@ -13,7 +13,8 @@ human-readable summary derived from that document goes to stderr. Exit codes:
 0 success/PASS, 1 usage error, 2 computation failure (an unreadable or
 unwritable cache or an unwritable --out file included), 3 reproduction FAIL.
 Documents are byte-reproducible when --timestamp is pinned. reproduce --jobs N
-is accepted and ignored; the pipeline runs serially.
+is accepted and ignored; the pipeline runs serially. No command takes
+--rel-tol: every tilted integral is certified to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .aggregate import (
 from .bounds import clamped_K, first_bound, second_bound_detail
 from .errors import DomainError, FactorizationError, PrecisionError
 from .lognum import LogNumber, from_real, ln_add, ln_div
-from .quadrature import QuadratureSpec
 
 # the five reference constants the reproduction run is judged against
 REFERENCE_LIMITS = {
@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
         bp.add_argument("--h", type=int, required=True)
         bp.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
         if variant == "second":
-            bp.add_argument("--rel-tol", type=float, default=1e-12)
             bp.add_argument("--K-offset", dest="K_offset", type=int, default=20)
             bp.add_argument(
                 "--alpha",
@@ -109,7 +108,6 @@ def build_parser() -> _Parser:
     rep.add_argument("--h-max", type=int, default=963)
     rep.add_argument("--K-offset", dest="K_offset", type=int, default=20)
     rep.add_argument("--s-lower", type=float, default=9.2e-8)
-    rep.add_argument("--rel-tol", type=float, default=1e-12)
     rep.add_argument("--jobs", type=int, help="accepted and ignored; the pipeline runs serially")
 
     emp = sub.add_parser("empirical", help="desk-scale counting and checks")
@@ -144,14 +142,12 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
         value = first_bound(args.h, args.delta)
         result = {"h": args.h, "delta": str(args.delta), "coefficient": _lognum_doc(value)}
     else:
-        spec = QuadratureSpec(rel_tol=args.rel_tol)
         params = {
             "subcommand": "second", "h": args.h, "delta": args.delta,
             "K_offset": args.K_offset, "alpha": args.alpha,
-            "rel_tol": args.rel_tol,
         }
         K = clamped_K(args.h, args.K_offset)
-        detail = second_bound_detail(args.h, args.delta, K, spec, args.alpha)
+        detail = second_bound_detail(args.h, args.delta, K, args.alpha)
         per_k = [
             {
                 "k": c.k, "alpha": c.alpha, "evaluations": c.evaluations,
@@ -256,8 +252,7 @@ def _reproduce_checks(report: AggregateReport) -> list[dict]:
 def _cmd_reproduce(args) -> tuple[dict, dict, int]:
     params = {
         "delta": args.delta, "H": args.H, "split": args.split,
-        "h_max": args.h_max, "K_offset": args.K_offset,
-        "s_lower": args.s_lower, "rel_tol": args.rel_tol,
+        "h_max": args.h_max, "K_offset": args.K_offset, "s_lower": args.s_lower,
     }
     cfg = AggregateConfig(
         delta=args.delta,
@@ -266,7 +261,6 @@ def _cmd_reproduce(args) -> tuple[dict, dict, int]:
         h_max=args.h_max,
         K_offset=args.K_offset,
         S_lower=args.s_lower,
-        quadrature=QuadratureSpec(rel_tol=args.rel_tol),
     )
     report = final_constants(cfg)
     checks = _reproduce_checks(report)

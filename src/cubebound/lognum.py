@@ -101,10 +101,6 @@ def from_fraction(fr: Fraction) -> LogNumber:
     return LogNumber(1 if fr > 0 else -1, math.log(num) - math.log(den))
 
 
-def to_real(a: LogNumber) -> float:
-    return a.to_real()
-
-
 def ln_mul(a: LogNumber, b: LogNumber) -> LogNumber:
     if a.sign == 0 or b.sign == 0:
         return ZERO

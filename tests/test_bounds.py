@@ -8,7 +8,6 @@ from cubebound import (
     BoundParams,
     DomainError,
     PrecisionError,
-    QuadratureSpec,
     ZERO,
     first_bound,
     optimize_alpha,
@@ -56,6 +55,16 @@ def test_empty_region_beyond_963():
     for h in (963, 964, 1000, 2000):
         assert first_bound(h, D321) == ZERO
     assert first_bound(962, D321).sign == 1
+
+
+def test_s_max_is_the_exact_fraction():
+    # empty regions included: s_max <= delta, and below zero for large k
+    for delta in (D321, D10, Fraction(2, 97), Fraction(5, 7)):
+        for h in range(3, 120):
+            for k in range(h // 3, h):
+                p = BoundParams(h, delta, k)
+                assert p.s_max == (3 - (k - 1) * delta) / (h - k + 1), (delta, h, k)
+                assert p.is_empty() == (3 - (k - 1) * delta <= (h - k + 1) * delta)
 
 
 def test_first_bound_validation():
@@ -132,10 +141,7 @@ def test_optimizer_beats_untilted_and_matches_dense_grid():
     assert choice.term_value < at_zero
     assert choice.evaluations > 0
     # integer-grid oracle over alpha in {0, 1, 2, ..., 10000}
-    spec = QuadratureSpec(rel_tol=1e-10)
-    grid_best = min(
-        second_bound_term(p, float(a), spec).log_mag for a in range(0, 10_001)
-    )
+    grid_best = min(second_bound_term(p, float(a)).log_mag for a in range(0, 10_001))
     assert choice.term_value.log_mag <= grid_best + 1e-6
 
 

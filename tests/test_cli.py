@@ -92,6 +92,11 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["bound", "first", "--h", "3", "--delta", "1/321", "--rel-tol", "1e-12"]) == 1
     capsys.readouterr()
+    # every tilted integral is certified to one fixed tolerance
+    assert main(["reproduce", "--rel-tol", "1e-12"]) == 1
+    capsys.readouterr()
+    assert main(["bound", "second", "--h", "40", "--delta", "1/321", "--rel-tol", "1e-12"]) == 1
+    capsys.readouterr()
 
 
 def test_domain_errors_exit_2(capsys):

@@ -8,7 +8,6 @@ from cubebound import (
     AggregateConfig,
     DomainError,
     PrecisionError,
-    QuadratureSpec,
     bounds,
     exp_integral,
     final_constants,
@@ -21,13 +20,6 @@ from oracles import ei_series, exp_integral_oracle
 # Ei(2) - Ei(1)
 EI_2_MINUS_EI_1 = 3.059116539645953
 EI_1 = 1.8951178163559368
-
-
-def test_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(rel_tol=1e-5)
-    with pytest.raises(DomainError):
-        QuadratureSpec(rel_tol=0.0)
 
 
 def test_alpha_zero_reduces_to_log_ratio():
@@ -74,18 +66,32 @@ def test_domain_errors():
             exp_integral(*args)
 
 
-def test_precision_error_when_rel_tol_below_certified_bound():
+def test_precision_error_when_rel_tol_below_certified_bound(monkeypatch):
     # at alpha*b = 700 the series adds about 1400 terms and the rounding part
     # of its bound (about 3 unit roundoffs per term) exceeds 1e-15 relative
     a, b = 0.001, 0.02
     alpha = 700.0 / b
     value, bound = quadrature._panel(alpha, a, b)
     assert 1e-15 * value < bound <= 1e-12 * value
-    with pytest.raises(PrecisionError):
-        exp_integral(alpha, a, b, QuadratureSpec(rel_tol=1e-15))
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_REL_TOL", 1e-15)
+        with pytest.raises(PrecisionError):
+            exp_integral(alpha, a, b)
     assert exp_integral(alpha, a, b) == value
     with pytest.raises(PrecisionError):  # b/a beyond the float range
         exp_integral(0.0, 5e-324, 1e300)
+
+
+@pytest.mark.parametrize("alpha_b", [0.0, 1.0, 350.0, 700.0])
+@pytest.mark.parametrize("ratio", [1.0 + 1e-12, 2.0, 1e3, 1e300])
+def test_certified_bound_below_tolerance_on_domain_corners(alpha_b, ratio):
+    # the bound grows with alpha*b and is at most 4.7e-13 relative at 700,
+    # so the PrecisionError guard of exp_integral never fires on valid input
+    for b in (1e-3, 1.0, 5.0):
+        a = b / ratio
+        value, bound = quadrature._panel(alpha_b / b, a, b)
+        assert bound <= 4.7e-13 * value < quadrature._REL_TOL * value, (alpha_b, a, b)
+        assert exp_integral(alpha_b / b, a, b) == value
 
 
 def _exact(alpha, a, b):
@@ -108,9 +114,9 @@ def test_certified_bound_holds_on_every_pipeline_integral(monkeypatch):
     seen = set()
     real = bounds.exp_integral
 
-    def record(alpha, a, b, spec=quadrature.DEFAULT_SPEC):
+    def record(alpha, a, b):
         seen.add((alpha, a, b))
-        return real(alpha, a, b, spec)
+        return real(alpha, a, b)
 
     monkeypatch.setattr(bounds, "exp_integral", record)
     final_constants(AggregateConfig())
@@ -145,16 +151,15 @@ def test_thousand_random_agreements_with_series_oracle():
 
 
 def test_additivity():
-    spec = QuadratureSpec()
     rng = np.random.default_rng(7)
     for _ in range(50):
         a = float(rng.uniform(0.002, 0.01))
         c = a * float(rng.uniform(3.0, 15.0))
         b = float(rng.uniform(a, c))
         alpha = float(rng.uniform(0.0, 700.0 / c))
-        whole = exp_integral(alpha, a, c, spec)
-        parts = exp_integral(alpha, a, b, spec) + exp_integral(alpha, b, c, spec)
-        assert whole == pytest.approx(parts, rel=10 * spec.rel_tol)
+        whole = exp_integral(alpha, a, c)
+        parts = exp_integral(alpha, a, b) + exp_integral(alpha, b, c)
+        assert whole == pytest.approx(parts, rel=10 * quadrature._REL_TOL)
 
 
 def test_monotone_in_alpha():
