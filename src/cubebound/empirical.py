@@ -19,11 +19,12 @@ exceed (n+1)^3 > n^3+2), and is certified prime or split once. Counting
 decides each n on arrays and tests the residual only when it can change
 the verdict. Everything runs in one process, a segment at a time.
 
-Each segment's cofactors are classified in one batch: Miller-Rabin with the
-same witness ladder, and Pollard-Brent with every walk in lockstep, run in
-Montgomery arithmetic on numpy uint64 lanes. Cofactors of 2^63 and above
-(n >= 2^21), batches too small to pay for numpy's per-call cost, and the
-last slow walks of a batch stay on Python integers.
+Each segment's cofactors are classified in one batch: BPSW (a strong
+base-2 test and a strong Lucas test, which no composite below 2^64 passes)
+and Pollard-Brent with every walk in lockstep, run in Montgomery arithmetic
+on numpy uint64 lanes. Cofactors of 2^63 and above (n >= 2^21), batches too
+small to pay for numpy's per-call cost, and the last slow walks of a batch
+stay on Python integers, where Miller-Rabin gives the same verdicts.
 
 The prime layer runs on numpy lanes as well: an odd-only sieve, nu(p) by
 the cubic character in uint64 arithmetic, and the prime sums over blocks of
@@ -90,12 +91,16 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
-    """Deterministic Miller-Rabin, valid below ~3.18e23, on n or on each
-    value of the sequence n.
+    """Whether n, or each value of the sequence n, is prime, by a test that
+    is a proof below ~3.18e23.
 
-    A sequence's values in (1, 2^63) are tested together on numpy lanes, with
-    the same small-prime divisions and witness ladder, when there are at
-    least _MR_BATCH_MIN of them; the others one at a time. Each value must
+    One value at a time, the test is deterministic Miller-Rabin with the
+    witness sets of _MR_LADDER. A sequence's values in (1, 2^63) are tested
+    together on numpy lanes when there are at least _MR_BATCH_MIN of them,
+    by the same small-prime divisions and then BPSW: a strong test to base 2
+    and Selfridge's strong Lucas test. No composite below 2^64 passes BPSW
+    (Baillie, Fiori & Wagstaff, Math. Comp. 90, 2021, on Feitsma's list of
+    the base-2 pseudoprimes), so the verdicts are the same. Each value must
     be a Python or numpy integer; a str or bytes is not taken as a sequence.
     """
     if isinstance(n, (str, bytes)) or not isinstance(n, Sequence):
@@ -105,7 +110,7 @@ def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
     out: list[bool | None] = [None] * len(n)
     lanes = [i for i, v in enumerate(n) if 1 < v < _MONT_TOP]
     if len(lanes) >= _MR_BATCH_MIN:
-        verdicts = _mr_lanes(np.array([n[i] for i in lanes], dtype=np.uint64))
+        verdicts = _bpsw_lanes(np.array([n[i] for i in lanes], dtype=np.uint64))
         for i, prime in zip(lanes, verdicts.tolist()):
             out[i] = prime
     return [_mr_int(v) if p is None else p for v, p in zip(n, out)]
@@ -145,12 +150,12 @@ def _mr_int(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-# A Miller-Rabin batch pays numpy's per-call cost (about 40 ms for a ladder
-# on 62-bit values) and one value about 0.08 ms on Python ints, so batches
+# A primality batch pays numpy's per-call cost (about 8 ms for BPSW on
+# 56-bit values) and one value about 0.06 ms on Python ints, so batches
 # under _MR_BATCH_MIN are tested there; the lockstep Brent walks hand their
 # lanes over to Python ints (about 3 ms of walk each) once fewer than
 # _BRENT_BATCH_MIN remain.
-_MR_BATCH_MIN = 400
+_MR_BATCH_MIN = 200
 _BRENT_BATCH_MIN = 100
 _LO32 = np.uint64(0xFFFF_FFFF)
 _U32 = np.uint64(32)
@@ -205,6 +210,10 @@ class _Mont(NamedTuple):
         t = a + b
         return np.minimum(t, t - self.m)  # t - m wraps above t unless t >= m
 
+    def sub(self, a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
+        t = a - b
+        return np.minimum(t, t + self.m)  # a negative t has wrapped above t + m
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """REDC(a*b) = a*b/R mod m. With u = lo(ab)*m^-1 mod 2^64, ab - um is
         divisible by R and (ab - um)/R = hi(ab) - hi(um) lies in (-m, m)."""
@@ -216,14 +225,14 @@ class _Mont(NamedTuple):
         t -= _mulhi(*_halves(u), self.m0, self.m1)
         return np.minimum(t, t + self.m)  # a negative t has wrapped above t + m
 
-    def times(self, x: np.ndarray, a: int) -> np.ndarray:
-        """x*a mod m for a constant a >= 1, by doubling and adding: cheaper
-        than a product for the small constants of the witness ladder."""
-        out = x
-        for bit in bin(a)[3:]:
+    def times(self, x: np.ndarray, a: int | np.ndarray) -> np.ndarray:
+        """x*a mod m for a small constant a >= 0, or for a uint64 array of
+        them, one per lane, by doubling and adding."""
+        a = np.asarray(a, dtype=np.uint64)
+        out = np.zeros_like(x)
+        for i in range(int(a.max(initial=0)).bit_length() - 1, -1, -1):
             out = self.add(out, out)
-            if bit == "1":
-                out = self.add(out, x)
+            out = np.where((a >> np.uint64(i)) & np.uint64(1), self.add(out, x), out)
         return out
 
     def value(self, a: np.ndarray) -> list[int]:
@@ -231,44 +240,115 @@ class _Mont(NamedTuple):
         return self.mul(a, np.ones_like(a)).tolist()
 
 
-def _mr_lanes(m: np.ndarray) -> np.ndarray:
-    """is_certified_prime on each lane of a uint64 array of values below 2^63,
-    with the same small-prime divisions and witness ladder."""
+def _bpsw_lanes(m: np.ndarray) -> np.ndarray:
+    """is_certified_prime on each lane of a uint64 array of values below 2^63:
+    the small-prime divisions, then the strong test to base 2 on the lanes
+    they leave open, then the strong Lucas test on the lanes that pass it.
+    The divisions come first: both tests take odd lanes only, and base 2
+    only above 2."""
     prime = m >= 2
     open_ = prime.copy()
     for p in _SMALL_PRIMES:
         hit = open_ & (m % np.uint64(p) == 0)
         prime[hit] = m[hit] == p
         open_ &= ~hit
-    # every rung's bases are the first n_bases small primes
-    n_bases = np.full(m.shape, len(_MR_LADDER[-1][1]))
-    for bound, bases in reversed(_MR_LADDER[:-1]):
-        n_bases[m < np.uint64(bound)] = len(bases)
-    for j, a in enumerate(_SMALL_PRIMES):
-        lanes = np.flatnonzero(open_ & prime & (n_bases > j))
-        if not lanes.size:
-            break
-        prime[lanes] = _strong_probable_primes(m[lanes], a)
+    lanes = np.flatnonzero(open_)
+    prime[lanes] = _strong_probable_primes(m[lanes])
+    lanes = lanes[prime[lanes]]
+    prime[lanes] = _strong_lucas_probable_primes(m[lanes])
     return prime
 
 
-def _strong_probable_primes(m: np.ndarray, a: int) -> np.ndarray:
-    """The strong probable-prime test to base a on each odd lane m > a."""
+def _split_twos(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, s) with e = d * 2^s and d odd, on nonzero uint64 lanes."""
+    low = e & (0 - e)  # 2^s, exact as a float
+    return e // low, np.frexp(low.astype(np.float64))[1] - 1
+
+
+def _strong_probable_primes(m: np.ndarray) -> np.ndarray:
+    """The strong probable-prime test to base 2 on each odd lane m > 2."""
     mod = _Mont.of(m)
-    d = m - np.uint64(1)
-    low = d & (0 - d)  # d = 2^s * odd with 2^s = low, exact as a float
-    s = np.frexp(low.astype(np.float64))[1] - 1
-    d //= low
+    d, s = _split_twos(m - np.uint64(1))
     x = mod.one
-    for i in range(int(d.max()).bit_length() - 1, -1, -1):
+    for i in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
         x = mod.mul(x, x)
-        x = np.where((d >> np.uint64(i)) & np.uint64(1), mod.times(x, a), x)
+        x = np.where((d >> np.uint64(i)) & np.uint64(1), mod.add(x, x), x)
     minus_one = mod.m - mod.one
     passes = (x == mod.one) | (x == minus_one)
-    for r in range(1, int(s.max())):
+    for r in range(1, int(s.max(initial=0))):
         x = mod.mul(x, x)
         passes |= (x == minus_one) & (s > r)
     return passes
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by the binary algorithm."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_primes(m: np.ndarray) -> np.ndarray:
+    """Selfridge's strong Lucas probable-prime test (Baillie & Wagstaff,
+    Math. Comp. 35, 1980) on each odd lane m > 1.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/m) = -1, P = 1
+    and Q = (1 - D)/4; with m + 1 = d * 2^s, m passes when U_d == 0 or
+    V_(d*2^r) == 0 (mod m) for some 0 <= r < s. A square, for which no such D
+    exists, fails, and so does a lane with (D/m) = 0 for some |D| != m.
+
+    Every D is 1 mod 4, so (D/m) = (m mod |D| / |D|) by reciprocity, read
+    from one table per |D|. The ladder runs over the bits of d from k = 0
+    and keeps V_k, V_(k+1) and Q^k: V_2k = V_k^2 - 2Q^k and V_(2k+1) =
+    V_k V_(k+1) - Q^k. U_d is not kept: D U_d = 2V_(d+1) - V_d, and D is a
+    unit mod m. Q is a small signed constant per lane, put in Montgomery
+    form once by _Mont.times; on each rung a product by it costs less than
+    an add chain, which runs as long as the largest |Q| of the batch.
+    """
+    prime = np.ones(m.shape, dtype=bool)
+    root = np.rint(np.sqrt(m.astype(np.float64))).astype(np.uint64)  # exact for squares below 2^63
+    prime[root * root == m] = False
+    disc = np.zeros(m.shape, dtype=np.int64)
+    todo = np.flatnonzero(prime)
+    a = 5
+    while todo.size:
+        jac = np.array([_jacobi(r, a) for r in range(a)])[m[todo] % np.uint64(a)]
+        shared = (jac == 0) & (m[todo] != a)
+        prime[todo[shared]] = False
+        disc[todo[jac == -1]] = a if a % 4 == 1 else -a
+        todo = todo[(jac != -1) & ~shared]
+        a += 2
+    lanes = np.flatnonzero(prime)
+    mod = _Mont.of(m[lanes])
+    q = (1 - disc[lanes]) // 4
+    q_abs = mod.times(mod.one, np.abs(q).astype(np.uint64))
+    q_mont = np.where(q < 0, mod.sub(0, q_abs), q_abs)
+    d, s = _split_twos(mod.m + np.uint64(1))
+    v, w, qk = mod.add(mod.one, mod.one), mod.one, mod.one  # V_0 = 2, V_1 = P, Q^0
+    for i in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
+        bit = ((d >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        qk1 = mod.mul(qk, q_mont)  # Q^(k+1)
+        odd = mod.sub(mod.mul(v, w), qk)  # V_(2k+1)
+        x, qx = np.where(bit, w, v), np.where(bit, qk1, qk)
+        even = mod.sub(mod.mul(x, x), mod.add(qx, qx))  # V_2k, or V_(2k+2) on a set bit
+        v, w = np.where(bit, odd, even), np.where(bit, even, odd)
+        qk = mod.mul(qk, qx)
+    passes = (mod.add(w, w) == v) | (v == 0)
+    for r in range(1, int(s.max(initial=0))):
+        v = mod.sub(mod.mul(v, v), mod.add(qk, qk))
+        qk = mod.mul(qk, qk)
+        passes |= (v == 0) & (s > r)
+    prime[lanes] = passes
+    return prime
 
 
 def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from cubebound import (
     DomainError,
@@ -68,9 +69,20 @@ def test_certified_prime_large():
 # batched residual kernel (numpy Montgomery lanes)
 # ---------------------------------------------------------------------------
 
-def test_certified_prime_batch_matches_sympy_below_2000(monkeypatch):
+def test_certified_prime_batch_matches_sympy_below_3e5(monkeypatch):
     monkeypatch.setattr(empirical, "_MR_BATCH_MIN", 1)  # the lanes, whatever the crossover
-    assert is_certified_prime(range(2000)) == [sympy.isprime(n) for n in range(2000)]
+    seen = {"base 2": [], "lucas": []}
+    for name, kernel in (("base 2", "_strong_probable_primes"), ("lucas", "_strong_lucas_probable_primes")):
+        real = getattr(empirical, kernel)
+        monkeypatch.setattr(empirical, kernel,
+                            lambda m, *rest, f=real, s=seen[name]: s.extend(m.tolist()) or f(m, *rest))
+    assert is_certified_prime(range(300_000)) == [sympy.isprime(n) for n in range(300_000)]
+    # the small-prime divisions come first: they alone decide 2..37 (base 2
+    # is no test of 2, and both tests take odd values only), and the Lucas
+    # test sees just the values that pass base 2
+    assert min(seen["base 2"]) == 41
+    assert all(math.gcd(v, math.prod(empirical._SMALL_PRIMES)) == 1 for v in seen["base 2"])
+    assert seen["lucas"] == [v for v in seen["base 2"] if is_strong_probable_prime(v, 2)]
 
 
 # strong pseudoprimes to every base of the rung below each ladder threshold;
@@ -106,6 +118,40 @@ def test_certified_prime_batch_hard_cases_match_sympy(monkeypatch):
     for v in _LADDER_PSEUDOPRIMES:
         assert not sympy.isprime(v)
         assert all(is_strong_probable_prime(v, a) for a in rungs[v])
+
+
+# strong pseudoprimes to base 2 below 2^63, which only the Lucas test
+# rejects: the first five, composite Mersenne numbers 2^p - 1 (p prime),
+# the Fermat number 2^32 + 1, the squares of the Wieferich primes 1093 and
+# 3511, and the ladder pseudoprimes, the last of which passes bases 2..23
+_BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 2**32 + 1, 1093**2, 3511**2]
+_BASE_2_PSEUDOPRIMES += [2**p - 1 for p in (11, 23, 29, 37, 41, 43, 47, 53, 59)]
+_BASE_2_PSEUDOPRIMES += _LADDER_PSEUDOPRIMES
+
+
+def test_certified_prime_batch_rejects_base_2_pseudoprimes_and_squares(monkeypatch):
+    monkeypatch.setattr(empirical, "_MR_BATCH_MIN", 1)
+    assert all(v < 2**63 and is_strong_probable_prime(v, 2) for v in _BASE_2_PSEUDOPRIMES)
+    assert not any(sympy.isprime(v) for v in _BASE_2_PSEUDOPRIMES)
+    assert not any(is_certified_prime(_BASE_2_PSEUDOPRIMES))
+    # squares of primes near 2^31: no D has (D/m) = -1, so the Lucas test
+    # must reject them before its search for D
+    near = [sympy.prevprime(2**31 - k) for k in range(0, 4000, 400)]
+    near += [sympy.nextprime(2**31 + k) for k in range(0, 4000, 400)]
+    squares = [p * p for p in near]
+    assert not any(is_certified_prime(squares))
+    assert not empirical._strong_lucas_probable_primes(np.array(squares, dtype=np.uint64)).any()
+    assert is_certified_prime(near) == [True] * len(near)
+
+
+def test_lucas_kernel_is_selfridges_strong_lucas_test(monkeypatch):
+    odd = list(range(3, 10**5, 2))
+    want = [is_strong_lucas_prp(n) for n in odd]
+    assert empirical._strong_lucas_probable_primes(np.array(odd, dtype=np.uint64)).tolist() == want
+    pseudoprimes = [n for n, passes in zip(odd, want) if passes and not sympy.isprime(n)]
+    assert pseudoprimes[:3] == [5459, 5777, 10877] and len(pseudoprimes) == 12
+    monkeypatch.setattr(empirical, "_MR_BATCH_MIN", 1)
+    assert not any(is_certified_prime(pseudoprimes))  # base 2 rejects them
 
 
 def test_lockstep_splits_divide_and_are_proper():
