@@ -316,11 +316,8 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
                 table = load_root_table(args.cache)
             except DomainError as exc:
                 print(f"warning: rebuilding root-table cache: {exc}", file=sys.stderr)
-            else:
-                if table.limit < job.x_max:
-                    table = None
-        if table is None:
-            table = build_root_table(job.x_max)
+        if table is None or table.limit < job.count_limit:
+            table = build_root_table(job.count_limit)
             save_root_table(args.cache, table)
 
     def progress(lo: int, hi: int) -> None:

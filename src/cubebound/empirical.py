@@ -15,16 +15,19 @@ segment expands the progressions of the roots that hit it into numpy index
 arrays, and the residual left by the hit primes is exact from a 2-adic
 inverse and a float estimate. It has at most two prime factors, all above
 the table limit (the limit is at least n, and three factors above n would
-exceed (n+1)^3 > n^3+2), and is certified prime or split once. Counting
-decides each n on arrays and tests the residual only when it can change
-the verdict. Everything runs in one process, a segment at a time.
+exceed (n+1)^3 > n^3+2). Factorisation certifies it prime or splits it
+once. Counting sieves to max(x_max, threshold - 1), so every residual
+factor counts, and never splits: it decides each n on arrays and tests the
+residual only when its primality changes the verdict. Everything runs in
+one process, a segment at a time.
 
 Each segment's cofactors are classified in one batch: BPSW (a strong
 base-2 test and a strong Lucas test, which no composite below 2^64 passes)
-and Pollard-Brent with every walk in lockstep, run in Montgomery arithmetic
-on numpy uint64 lanes. Cofactors of 2^63 and above (n >= 2^21), batches too
-small to pay for numpy's per-call cost, and the last slow walks of a batch
-stay on Python integers, where Miller-Rabin gives the same verdicts.
+and, to factorise, Pollard-Brent with every walk in lockstep, run in
+Montgomery arithmetic on numpy uint64 lanes. Cofactors of 2^63 and above
+(n >= 2^21), batches too small to pay for numpy's per-call cost, and the
+last slow walks of a batch stay on Python integers, where Miller-Rabin
+gives the same verdicts.
 
 The prime layer runs on numpy lanes as well: an odd-only sieve, nu(p) by
 the cubic character in uint64 arithmetic, and the prime sums over blocks of
@@ -155,7 +158,7 @@ _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues
 # under _MR_BATCH_MIN are tested there; the lockstep Brent walks hand their
 # lanes over to Python ints (about 3 ms of walk each) once fewer than
 # _BRENT_BATCH_MIN remain.
-_MR_BATCH_MIN = 200
+_MR_BATCH_MIN = 150
 _BRENT_BATCH_MIN = 100
 _LO32 = np.uint64(0xFFFF_FFFF)
 _U32 = np.uint64(32)
@@ -668,12 +671,18 @@ class RangeJob:
             raise DomainError(f"need 0 <= x_min < x_max, got {self.x_min}, {self.x_max}")
         if self.x_max > MAX_RANGE_TOP:
             raise DomainError(f"x_max is capped at {MAX_RANGE_TOP}, got {self.x_max}")
-        if self.threshold < 2:
-            raise DomainError(f"threshold must be at least 2, got {self.threshold}")
+        if not 2 <= self.threshold <= MAX_RANGE_TOP + 1:  # so count_limit is in the cap
+            raise DomainError(f"need 2 <= threshold <= {MAX_RANGE_TOP + 1}, got {self.threshold}")
         if self.h < 0:
             raise DomainError(f"h must be non-negative, got {self.h}")
         if self.segment_size < 1:
             raise DomainError(f"segment_size must be positive, got {self.segment_size}")
+
+    @property
+    def count_limit(self) -> int:
+        """The prime limit of empirical_T's root table: every prime factor
+        left in a residual is then at least the threshold."""
+        return max(self.x_max, self.threshold - 1)
 
 
 @dataclass(frozen=True)
@@ -848,14 +857,12 @@ def _residual_ints(m: np.ndarray, k: np.ndarray, lanes: np.ndarray) -> list[int]
     return [a | b << 64 for a, b in zip(m[lanes].tolist(), k[lanes].tolist())]
 
 
-def _covering_table(job: RangeJob, table: RootTable | None) -> RootTable:
-    """table, or the root table up to job.x_max when it is None; a table
-    that stops short of job.x_max raises DomainError."""
-    if table is None:
-        return build_root_table(job.x_max)
-    if table.limit < job.x_max:
+def _covering_table(job: RangeJob, table: RootTable | None, limit: int) -> RootTable:
+    """table, or build_root_table(limit >= job.x_max) in place of None or of
+    a table short of limit; a table short of job.x_max raises DomainError."""
+    if table is not None and table.limit < job.x_max:
         raise DomainError(f"root table covers primes to {table.limit}, need {job.x_max}")
-    return table
+    return table if table is not None and table.limit >= limit else build_root_table(limit)
 
 
 def factor_range(
@@ -869,7 +876,7 @@ def factor_range(
     is yielded; a verification failure (or an unsplittable cofactor) raises
     FactorizationError rather than passing silently.
     """
-    table = _covering_table(job, table)
+    table = _covering_table(job, table, job.x_max)
     for lo, hi, m, k, at, by in _sieved_segments(job, table, progress):
         rest = np.flatnonzero((m > 1) | (k > 0))
         pairs = _cofactor_primes(_residual_ints(m, k, rest), (lo + rest).tolist(), table.limit)
@@ -897,26 +904,20 @@ def empirical_T(
 ) -> int:
     """Exact count of n in (x_min, x_max] whose value has at least h prime
     factors >= threshold (with multiplicity), segment by segment in one
-    process; progress(lo, hi) fires after each segment. Each n is decided on
-    arrays from om, its divisions by primes >= threshold: a residual m > 1 is
-    a prime or two primes above limit >= n, so it becomes a Python int only
-    when om is h-1 or h-2, where it can change the verdict.
+    process; progress(lo, hi) fires after each segment. The table reaches
+    limit >= job.count_limit (a given table short of it is replaced), so a
+    residual m > 1 is a prime or two primes above limit >= max(n, threshold
+    - 1), and each n is decided on arrays from om, its divisions by primes
+    >= threshold. m becomes a Python int only when om is h-2 and m > limit^2,
+    where its primality decides the verdict; nothing is split.
     """
-    table = _covering_table(job, table)
+    table = _covering_table(job, table, job.count_limit)
     h, threshold, limit = job.h, job.threshold, table.limit
-    split = threshold > limit + 1  # residual factors may fall below the threshold
     count = 0
     for lo, hi, m, k, at, by in _sieved_segments(job, table, progress):
         om = np.bincount(at[by >= threshold], minlength=m.size)  # factors >= threshold
         count += int(np.count_nonzero(om >= h))
         near = (om < h) & (om + 2 >= h) & ((m > 1) | (k > 0))
-        if split:
-            lanes = np.flatnonzero(near)
-            above = om[lanes].tolist()
-            for j, p in _cofactor_primes(_residual_ints(m, k, lanes), (lo + lanes).tolist(), limit):
-                above[j] += p >= threshold
-            count += sum(a >= h for a in above)
-            continue
         # every residual factor counts: one is always there, and a second
         # exactly when m is composite (m <= limit^2 is prime)
         count += int(np.count_nonzero(near & (om == h - 1)))

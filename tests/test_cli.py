@@ -9,9 +9,10 @@ import pytest
 import cubebound
 from cubebound import DomainError, build_root_table, load_root_table, mean_nu, mertens_check
 from cubebound.cli import main
+from cubebound import empirical
 from cubebound.empirical import sieve_primes
 
-from oracles import cubic_roots_enumerate, write_root_cache
+from oracles import cubic_roots_enumerate, trial_factor, write_root_cache
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,13 @@ def test_domain_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "bound", "first", "--h", "5", "--delta", "5/3")
     assert code == 2
     assert "delta" in err
+    # no root table reaches a threshold past the range cap plus one
+    code, _, err = run_cli(
+        capsys, "empirical", "count", "--x-min", "10", "--x-max", "20",
+        "--threshold", "10000002", "--h", "1",
+    )
+    assert code == 2
+    assert "threshold <= 10000001" in err
 
 
 def test_documents_byte_identical_with_pinned_timestamp(capsys):
@@ -189,6 +197,27 @@ def test_empirical_count_rebuilds_a_version_1_cache(capsys, tmp_path):
     assert load_root_table(str(cache)) == build_root_table(20)
     _, out3, err = run_cli(capsys, *args)
     assert out3 == out and "warning" not in err
+
+
+def test_empirical_count_cache_covers_the_threshold(capsys, tmp_path, monkeypatch):
+    # above x_max + 1 the count needs the primes to threshold - 1: the cache
+    # is built to that limit, and the second run takes it as it is
+    cache = tmp_path / "roots.bin"
+    args = [
+        "empirical", "count", "--x-min", "10", "--x-max", "20",
+        "--threshold", "50", "--h", "1", "--cache", str(cache), "--timestamp", "T",
+    ]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    want = sum(1 for n in range(11, 21) if max(trial_factor(n**3 + 2)) >= 50)
+    assert doc_of(out)["result"]["count"] == want
+    assert load_root_table(str(cache)) == build_root_table(49)
+    saved = cache.read_bytes()
+    monkeypatch.setattr(empirical, "build_root_table", lambda limit: pytest.fail("rebuilt"))
+    code, out2, err = run_cli(capsys, *args)
+    assert code == 0
+    assert out2 == out
+    assert "warning" not in err and cache.read_bytes() == saved
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])

@@ -501,14 +501,15 @@ def test_primality_tested_only_when_it_decides(exact_factors, window, limit, mon
     real = empirical.is_certified_prime
     monkeypatch.setattr(empirical, "is_certified_prime", lambda ms: tested.extend(ms) or real(ms))
     reached = False
-    for threshold in (2, 32, limit + 1):
-        views = [_sieved_view(f, limit, threshold) for f in exact_factors[window].values()]
+    for threshold in (2, 32, limit + 1, limit + 2):
+        cover = max(limit, threshold - 1)  # the count's table reaches threshold - 1
+        views = [_sieved_view(f, cover, threshold) for f in exact_factors[window].values()]
         for h in range(8):
             tested.clear()
             empirical_T(RangeJob(window[0], window[1], threshold=threshold, h=h), table)
             allowed = {m for om, m, _ in views if om == h - 2}
             assert set(tested) <= allowed, (threshold, h)
-            assert all(m > limit * limit for m in tested)  # smaller ones are prime
+            assert all(m > cover * cover for m in tested)  # smaller ones are prime
             reached = reached or bool(tested)
     assert reached
 
@@ -524,12 +525,12 @@ def window_across_2_63():
 
 @pytest.mark.parametrize("batch_min", [None, 8])
 def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monkeypatch):
-    # batch_min 8 tests this window's lanes below 2^63 on the Miller-Rabin
-    # kernel and walks them in lockstep; with the defaults they are tested on
-    # Python ints, and the lockstep walk hands them to the scalar one at once
-    if batch_min:
-        monkeypatch.setattr(empirical, "_MR_BATCH_MIN", batch_min)
-        monkeypatch.setattr(empirical, "_BRENT_BATCH_MIN", batch_min)
+    # batch_min 8 tests this window's lanes below 2^63 by BPSW and walks them
+    # in lockstep; None sets both minimums above the window's 300 values, so
+    # they are tested on Python ints and the lockstep walk hands them to the
+    # scalar one at once
+    monkeypatch.setattr(empirical, "_MR_BATCH_MIN", batch_min or 301)
+    monkeypatch.setattr(empirical, "_BRENT_BATCH_MIN", batch_min or 301)
     # the batch layers are called only with something to classify
     sizes = {"is_certified_prime": [], "_pollard_brent": []}
     for name, seen in sizes.items():
@@ -550,6 +551,31 @@ def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monke
     assert all(seen and min(seen) > 0 for seen in sizes.values()), sizes
 
 
+def test_count_never_factors(exact_factors, window_across_2_63, monkeypatch):
+    # the count's table reaches threshold - 1, whatever table it is given, so
+    # every residual factor counts and no residual is split
+    def refuse(*_):
+        raise AssertionError("the count split a residual")
+
+    monkeypatch.setattr(empirical, "_cofactor_primes", refuse)
+    monkeypatch.setattr(empirical, "_pollard_brent", refuse)
+    table63 = window_across_2_63[0]
+    window = (2000, 3000, build_root_table(3000), exact_factors[2000, 3000])
+    small = (100, 300, build_root_table(300),
+             {n: sympy.factorint(n**3 + 2) for n in range(101, 301)})
+    cases = [(*window, t, range(8)) for t in (2, 32, 3001, 3002)]
+    cases += [(*window, 3200, [1]), (*small, 10007, [2])]
+    cases += [(_N63 - 150, _N63 + 150, *window_across_2_63, t, (2, 3, 4))
+              for t in (2, table63.limit + 1, table63.limit + 2)]
+    for x_min, x_max, table, factors, threshold, hs in cases:
+        for h in hs:
+            want = sum(
+                1 for f in factors.values() if sum(e for p, e in f.items() if p >= threshold) >= h
+            )
+            got = empirical_T(RangeJob(x_min, x_max, threshold=threshold, h=h), table)
+            assert got == want, (x_min, threshold, h)
+
+
 def test_segment_independence():
     # sizes 1 and 2 put a root's one hit in a segment, or on its last value
     table = build_root_table(2000)
@@ -559,7 +585,7 @@ def test_segment_independence():
         job = RangeJob(x_min=1000, x_max=2000, threshold=2, h=0, segment_size=seg)
         runs.append(list(factor_range(job, table)))
     assert all(run == runs[0] for run in runs)
-    for threshold in (2, 32, table.limit + 2):  # the last leaves residual factors below it
+    for threshold in (2, 32, table.limit + 2):  # the last needs a larger table
         for h in range(6):
             want = sum(1 for prof in runs[0] if prof.omega_above(threshold) >= h)
             for seg in sizes:
@@ -629,7 +655,7 @@ def test_sieve_matches_sympy_at_every_segment_size(sieve_windows, segment_size):
         if x_max < 10**4 or segment_size == 1 << 16:
             assert {p.n: dict(p.factors) for p in factor_range(job, table)} == factors
         cases = [(2, 3)]
-        if x_max < 10**4:  # above the table every residual is split: small window only
+        if x_max < 10**4:  # above the table the count builds a larger one: small window only
             cases += [(32, 2), (table.limit + 2, 1)]
         for threshold, h in cases:
             want = sum(
@@ -692,6 +718,10 @@ def test_range_job_validation():
         RangeJob(x_min=0, x_max=10**7 + 1, threshold=2, h=0)
     with pytest.raises(DomainError):
         RangeJob(x_min=0, x_max=10, threshold=1, h=0)
+    # a larger threshold would need primes past the table's cap
+    with pytest.raises(DomainError, match=f"threshold <= {MAX_RANGE_TOP + 1}"):
+        RangeJob(x_min=0, x_max=10, threshold=MAX_RANGE_TOP + 2, h=0)
+    assert RangeJob(0, 10, threshold=MAX_RANGE_TOP + 1, h=0).count_limit == MAX_RANGE_TOP
     with pytest.raises(DomainError):
         RangeJob(x_min=0, x_max=10, threshold=2, h=-1)
     for bad in ({"x_max": 100.0}, {"h": 3.0}, {"segment_size": 1.5}):
