@@ -11,6 +11,7 @@ from .aggregate import (
     PerHTerm,
     display_round,
     final_constants,
+    reproduction_checks,
     sweep_H,
     weighted_tail,
 )
@@ -32,7 +33,6 @@ from .lognum import (
     from_real,
     ln_add,
     ln_div,
-    ln_factorial,
     ln_mul,
     ln_neg,
     ln_pow_int,
@@ -51,13 +51,13 @@ _EMPIRICAL = (
 __all__ = [
     "__version__",
     "AggregateConfig", "AggregateReport", "PerHTerm", "display_round",
-    "final_constants", "sweep_H", "weighted_tail",
+    "final_constants", "reproduction_checks", "sweep_H", "weighted_tail",
     "BoundParams", "SecondBoundDetail", "TiltChoice", "first_bound",
     "optimize_alpha", "second_bound_detail", "second_bound_term",
     *_EMPIRICAL,
     "DomainError", "FactorizationError", "PrecisionError",
     "ONE", "ZERO", "LogNumber", "from_fraction", "from_real", "ln_add",
-    "ln_div", "ln_factorial", "ln_mul", "ln_neg", "ln_pow_int", "ln_sub",
+    "ln_div", "ln_mul", "ln_neg", "ln_pow_int", "ln_sub",
     "ln_sum", "exp_integral",
 ]
 

@@ -4,7 +4,8 @@ The pipeline sums min(h, [1/delta]) * 2^h * c(h, delta) over h above a cutoff
 H, using the tilted bound below split_h and the closed form from split_h up,
 subtracts the total from the sieve lower-bound constant S_lower, applies the
 2^(-H)/min(H, [1/delta]) weight, and reports the resulting proportion alpha
-together with the exponent varpi = alpha*delta/2.
+together with the exponent varpi = alpha*delta/2. reproduction_checks judges
+a report against the paper's five reference constants.
 
 All reductions run in ascending h so reports are bit-reproducible.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,6 +39,17 @@ _LN2 = math.log(2.0)
 # S_lower == tail_total degrades to an explicit failure state instead of a
 # meaningless round-off proportion
 _MARGIN_REL_FLOOR = 1e-9
+
+# the five reference constants a reproduction is judged against: the tails
+# are bounded from above, the proportion and the exponent from below
+REFERENCE_LIMITS = (
+    ("tail_first", "<=", 9.2e-10),
+    ("tail_second", "<=", 3.6e-8),
+    ("tail_total", "<=", 3.7e-8),
+    ("alpha", ">=", 7.7e-50),
+    ("varpi", ">=", 1e-52),
+)
+_IDENTITY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -221,23 +234,53 @@ def sweep_H(cfg: AggregateConfig, H_values: Iterable[int]) -> list[tuple[int, Ag
     return out
 
 
+def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
+    """The reproduction verdict: one check per reference limit, then the
+    identity 2^H*min(H,[1/delta])*alpha + tail_total == S_lower, and whether
+    all of them pass. A report that is not ok fails alpha, varpi and the
+    identity."""
+    values = {
+        "tail_first": report.tail_first,
+        "tail_second": report.tail_second,
+        "tail_total": report.tail_total,
+        "alpha": report.alpha_proportion,
+        "varpi": report.varpi,
+    }
+    checks = []
+    for name, op, limit in REFERENCE_LIMITS:
+        value, bound = values[name], from_real(limit)
+        checks.append({
+            "name": f"{name} {op} {limit:g}",
+            "passed": value <= bound if op == "<=" else value >= bound,
+            "computed": value.to_sci(8),
+        })
+    if report.ok:
+        # ok implies a positive margin, so S_lower > 0
+        weighted = ln_div(report.alpha_proportion, proportion_weight(report.H, report.delta))
+        rel = abs(ln_add(weighted, report.tail_total).to_real() / report.S_lower - 1.0)
+        identity_ok, computed = rel <= _IDENTITY_REL_TOL, f"relative error {rel:.3e}"
+    else:
+        identity_ok, computed = False, "margin not positive"
+    checks.append({
+        "name": "2^H*min(H,[1/delta])*alpha + tail_total == S_lower (1e-9 rel)",
+        "passed": identity_ok,
+        "computed": computed,
+    })
+    return checks, all(c["passed"] for c in checks)
+
+
 def display_round(value: LogNumber, mode: str, sig: int = 2) -> str:
-    """Render to sig significant figures, rounding 'up' for upper-bound
-    coefficients and 'down' for lower-bound ones (conservative quoting)."""
+    """Render to sig significant figures, rounding 'up' (toward +inf) for
+    upper-bound coefficients and 'down' (toward -inf) for lower-bound ones
+    (conservative quoting). The rounding is exact: exp(log_mag) is taken to
+    40 digits in decimal before it is cut to sig figures."""
     if mode not in ("up", "down"):
         raise DomainError(f"mode must be 'up' or 'down', got {mode!r}")
     if value.sign == 0:
         return "0"
+    x = Context(prec=40).exp(Decimal(value.log_mag))
     if value.sign < 0:
-        # conservative direction flips for negative values
-        inner = display_round(LogNumber(1, value.log_mag), "down" if mode == "up" else "up", sig)
-        return "-" + inner
-    e10 = value.log_mag / math.log(10.0)
-    exp10 = math.floor(e10)
-    scaled = 10.0 ** (e10 - exp10 + sig - 1)
-    m = math.ceil(scaled - 1e-9) if mode == "up" else math.floor(scaled + 1e-9)
-    if m >= 10**sig:
-        m //= 10
-        exp10 += 1
-    mant = m / 10 ** (sig - 1)
-    return f"{mant:.{sig - 1}f}e{exp10:+03d}"
+        x = x.copy_negate()
+    x = Context(prec=sig, rounding=ROUND_CEILING if mode == "up" else ROUND_FLOOR).plus(x)
+    exp10 = x.adjusted()
+    return f"{x.scaleb(-exp10):.{sig - 1}f}e{exp10:+03d}"

@@ -209,16 +209,18 @@ def second_bound_detail(h: int, delta, K: int, alpha: float | None = None) -> Se
     """Sum of tilted terms for k in [[h/3], K-1] plus the closed-form K-term.
 
     Each tilt is optimised, or with alpha given every k-term is evaluated at
-    that fixed tilt (one quadrature each). With K = [h/3] the sum is empty and
-    this reduces to first_bound.
+    that fixed tilt (one quadrature each, none for an empty region). With
+    K = [h/3] the sum is empty and this reduces to first_bound.
     """
     top = BoundParams(h, delta, K)  # checks h, delta and K
     params = [BoundParams(h, top.delta, k) for k in range(h // 3, K)]
     if alpha is None:
         choices = tuple(optimize_alpha(p) for p in params)
     else:
-        choices = tuple(TiltChoice(p.k, alpha, second_bound_term(p, alpha), 1)
-                        for p in params)
+        choices = tuple(
+            TiltChoice(p.k, alpha, second_bound_term(p, alpha), int(not p.is_empty()))
+            for p in params
+        )
     boundary = _closed_form(top)
     total = ln_sum([c.term_value for c in choices] + [boundary])
     return SecondBoundDetail(

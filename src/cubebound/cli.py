@@ -8,8 +8,11 @@ Usage:
     cubebound empirical mertens --limit 1000000
     cubebound empirical nu --d 31
 
-Every run prints one JSON document (manifest + result) to stdout; the
-human-readable summary derived from that document goes to stderr. Exit codes:
+The CLI parses arguments, calls the library and renders its results: the
+reproduce verdict (the five reference checks, the identity and the overall
+PASS) is aggregate.reproduction_checks. Every run prints one JSON document
+(manifest + result) to stdout; the human-readable summary derived from that
+document goes to stderr. Exit codes:
 0 success/PASS, 1 usage error, 2 computation failure (an unreadable or
 unwritable cache or an unwritable --out file included), 3 reproduction FAIL.
 Documents are byte-reproducible when --timestamp is pinned. reproduce --jobs N
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -33,21 +35,11 @@ from .aggregate import (
     AggregateReport,
     display_round,
     final_constants,
-    proportion_weight,
+    reproduction_checks,
 )
 from .bounds import clamped_K, first_bound, second_bound_detail
 from .errors import DomainError, FactorizationError, PrecisionError
-from .lognum import LogNumber, from_real, ln_add, ln_div
-
-# the five reference constants the reproduction run is judged against
-REFERENCE_LIMITS = {
-    "tail_first": 9.2e-10,
-    "tail_second": 3.6e-8,
-    "tail_total": 3.7e-8,
-    "alpha": 7.7e-50,
-    "varpi": 1e-52,
-}
-_IDENTITY_REL_TOL = 1e-9
+from .lognum import LogNumber
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,52 +195,6 @@ def _report_doc(report: AggregateReport) -> dict:
     }
 
 
-def _reproduce_checks(report: AggregateReport) -> list[dict]:
-    values = {
-        "tail_first": report.tail_first,
-        "tail_second": report.tail_second,
-        "tail_total": report.tail_total,
-        "alpha": report.alpha_proportion,
-        "varpi": report.varpi,
-    }
-    checks = []
-    for name in ("tail_first", "tail_second", "tail_total"):
-        limit = REFERENCE_LIMITS[name]
-        checks.append(
-            {
-                "name": f"{name} <= {limit:g}",
-                "passed": values[name] <= from_real(limit),
-                "computed": values[name].to_sci(8),
-            }
-        )
-    for name in ("alpha", "varpi"):
-        limit = REFERENCE_LIMITS[name]
-        checks.append(
-            {
-                "name": f"{name} >= {limit:g}",
-                "passed": report.ok and values[name] >= from_real(limit),
-                "computed": values[name].to_sci(8),
-            }
-        )
-    if report.ok:
-        weighted = ln_div(report.alpha_proportion, proportion_weight(report.H, report.delta))
-        lhs = ln_add(weighted, report.tail_total)
-        rel = abs(lhs.to_real() / report.S_lower - 1.0) if report.S_lower else math.inf
-        identity_ok = rel <= _IDENTITY_REL_TOL
-        computed = f"relative error {rel:.3e}"
-    else:
-        identity_ok = False
-        computed = "margin not positive"
-    checks.append(
-        {
-            "name": "2^H*min(H,[1/delta])*alpha + tail_total == S_lower (1e-9 rel)",
-            "passed": identity_ok,
-            "computed": computed,
-        }
-    )
-    return checks
-
-
 def _cmd_reproduce(args) -> tuple[dict, dict, int]:
     params = {
         "delta": args.delta, "H": args.H, "split": args.split,
@@ -263,8 +209,7 @@ def _cmd_reproduce(args) -> tuple[dict, dict, int]:
         S_lower=args.s_lower,
     )
     report = final_constants(cfg)
-    checks = _reproduce_checks(report)
-    overall = report.ok and all(c["passed"] for c in checks)
+    checks, overall = reproduction_checks(report)
     result = {
         "report": _report_doc(report),
         "checks": checks,

@@ -34,9 +34,6 @@ class LogNumber:
             self, "log_mag", 0.0 if self.sign == 0 else float(self.log_mag)
         )
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     def to_real(self) -> float:
         """Plain float value, saturating to +-inf past the float range."""
         if self.sign == 0:
@@ -153,13 +150,6 @@ def ln_pow_int(a: LogNumber, n: int) -> LogNumber:
         return ONE
     sign = a.sign if n % 2 else 1
     return LogNumber(sign, n * a.log_mag)
-
-
-def ln_factorial(k: int) -> LogNumber:
-    """k! via log-gamma, never by multiplying integers."""
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"factorial needs a non-negative integer, got {k!r}")
-    return LogNumber(1, math.lgamma(k + 1))
 
 
 def ln_sum(terms: Iterable[LogNumber]) -> LogNumber:

@@ -15,6 +15,7 @@ from cubebound import (
     from_real,
     ln_add,
     ln_mul,
+    reproduction_checks,
     second_bound_detail,
     sweep_H,
     weighted_tail,
@@ -201,5 +202,48 @@ def test_display_round():
     assert display_round(from_real(9.95e-10), "up") == "1.0e-09"
     assert display_round(ZERO, "up") == "0"
     assert display_round(from_real(-1.234e5), "up") == "-1.2e+05"
+    # the rounding is exact: no slack lets a value just past a boundary round back
+    assert display_round(from_real(7.69999999995e-50), "down") == "7.6e-50"
+    assert display_round(from_real(9.20000000005e-10), "up") == "9.3e-10"
     with pytest.raises(DomainError):
         display_round(from_real(1.0), "nearest")
+
+
+CHECK_NAMES = [
+    "tail_first <= 9.2e-10",
+    "tail_second <= 3.6e-08",
+    "tail_total <= 3.7e-08",
+    "alpha >= 7.7e-50",
+    "varpi >= 1e-52",
+    "2^H*min(H,[1/delta])*alpha + tail_total == S_lower (1e-9 rel)",
+]
+
+
+def test_reproduction_checks_default_pass(default_report):
+    checks, overall = reproduction_checks(default_report)
+    assert [c["name"] for c in checks] == CHECK_NAMES
+    assert all(c["passed"] for c in checks)
+    assert overall is True
+
+
+def test_reproduction_checks_fail_one_tail(default_report):
+    # 9.3e-10 sits above the 9.2e-10 limit; nothing else reads tail_first
+    checks, overall = reproduction_checks(replace(default_report, tail_first=from_real(9.3e-10)))
+    assert [c["name"] for c in checks if not c["passed"]] == ["tail_first <= 9.2e-10"]
+    assert overall is False
+
+
+@pytest.mark.parametrize("cfg, failing", [
+    # the closed form everywhere: tail_first and tail_total fail as well
+    (AggregateConfig(S_lower=0.0, split_h=133), [0, 2, 3, 4, 5]),
+    # S_lower below the reference tails: the tails pass, the margin is negative
+    (AggregateConfig(S_lower=3.0e-8), [3, 4, 5]),
+])
+def test_reproduction_checks_not_ok_report(cfg, failing):
+    rep = final_constants(cfg)
+    assert not rep.ok
+    checks, overall = reproduction_checks(rep)
+    failed = {c["name"]: c["computed"] for c in checks if not c["passed"]}
+    assert list(failed) == [CHECK_NAMES[i] for i in failing]
+    assert failed[CHECK_NAMES[5]] == "margin not positive"
+    assert overall is False

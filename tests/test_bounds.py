@@ -258,6 +258,16 @@ def test_second_bound_detail_fixed_alpha():
     assert optimised.total < fixed.total
 
 
+def test_second_bound_detail_fixed_alpha_empty_region():
+    # at h = 963 every k-term has h*delta >= 3: no quadrature runs, as on the
+    # optimised path
+    fixed = second_bound_detail(963, D321, 341, alpha=1.0)
+    optimised = second_bound_detail(963, D321, 341)
+    assert len(fixed.tilt_choices) == 20
+    assert all(c.evaluations == 0 and c.term_value == ZERO for c in fixed.tilt_choices)
+    assert [c.evaluations for c in optimised.tilt_choices] == [0] * 20
+
+
 def test_parameter_checks_are_shared():
     # one validation helper behind every entry point, with the same messages
     for make in (

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import cubebound
-from cubebound import DomainError, build_root_table, load_root_table, mean_nu, mertens_check
+from cubebound import (
+    DomainError, build_root_table, load_root_table, mean_nu, mertens_check, reproduction_checks,
+)
 from cubebound.cli import main
 from cubebound import empirical
 from cubebound.empirical import sieve_primes
@@ -263,6 +265,9 @@ def test_reproduce_defaults_pass(capsys, default_report):
     assert rep["display"]["tail_second"] == "3.6e-08"
     assert rep["display"]["tail_total"] == "3.7e-08"
     assert rep["display"]["alpha"] == "7.7e-50"
+    # the verdict is the library's, unchanged
+    checks_lib, overall = reproduction_checks(default_report)
+    assert checks == checks_lib and overall is True
 
 
 def test_reproduce_zero_sieve_constant_fails(capsys):

@@ -14,16 +14,12 @@ from cubebound import (
     from_real,
     ln_add,
     ln_div,
-    ln_factorial,
     ln_mul,
     ln_neg,
     ln_pow_int,
     ln_sub,
     ln_sum,
 )
-
-# frozen with the exact big-integer oracle: math.log(math.factorial(321))
-LN_FACTORIAL_321 = 1535.4375192248206
 
 
 def assert_ln_close(a: LogNumber, b: LogNumber, rel: float) -> None:
@@ -36,7 +32,7 @@ def assert_ln_close(a: LogNumber, b: LogNumber, rel: float) -> None:
 def test_canonical_zero():
     assert LogNumber(0, 123.0) == LogNumber(0, -5.0) == ZERO
     assert ZERO.to_real() == 0.0
-    assert ZERO.is_zero()
+    assert ZERO.sign == 0
 
 
 def test_sign_validation():
@@ -79,21 +75,6 @@ def test_sub_and_signs():
     got = ln_sub(from_real(2.0), from_real(5.0))
     assert got.sign == -1
     assert abs(got.to_real() - (-3.0)) < 1e-14
-
-
-def test_factorial_zero_is_one():
-    assert ln_factorial(0) == ONE
-
-
-def test_factorial_321_against_big_integer_oracle():
-    oracle = math.log(math.factorial(321))
-    assert oracle == pytest.approx(LN_FACTORIAL_321, abs=1e-9)
-    assert ln_factorial(321).log_mag == pytest.approx(oracle, rel=1e-12)
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(DomainError):
-        ln_factorial(-1)
 
 
 def test_pow_exponent_multiplies():
