@@ -5,9 +5,10 @@ above an explicit threshold, counts cubic-congruence roots nu(d), and checks
 the prime-sum estimate sum_{p<=x} nu(p) log p / p = log x + O(1).
 
 nu(d) is counted without the roots: it is multiplicative, nu(p) comes from
-the cubic character of -2, and nu(p^e) = nu(p) for p >= 5, where every root
-is simple and lifts uniquely, while 2 and 3 have one root each and none mod
-4 or 9. The roots themselves are built only for the root table.
+the cubic character of -2 for one prime and from Gauss's criterion (p = x^2
++ 27y^2) over a range of primes, and nu(p^e) = nu(p) for p >= 5, where every
+root is simple and lifts uniquely, while 2 and 3 have one root each and none
+mod 4 or 9. The roots themselves are built only for the root table.
 
 The factorisation is sieve-driven and divides no value: one array holds
 the next hit of every root r of n^3+2 == 0 (mod p) in the root table, each
@@ -29,9 +30,10 @@ Montgomery arithmetic on numpy uint64 lanes. Cofactors of 2^63 and above
 last slow walks of a batch stay on Python integers, where Miller-Rabin
 gives the same verdicts.
 
-The prime layer runs on numpy lanes as well: an odd-only sieve, nu(p) by
-the cubic character in uint64 arithmetic, and the prime sums over blocks of
-2^14 primes, with results bit-identical to a loop over one prime at a time.
+The prime layer runs on numpy arrays as well: an odd-only sieve, nu(p) read
+from a table of the values x^2 + 27y^2 up to the largest prime (at most
+1e8), and the prime sums over blocks of 2^14 primes, with results
+bit-identical to a loop over one prime at a time.
 The root table is two aligned uint64 arrays, prime and root, from end to
 end: its cube roots are built on lanes, the cache holds only the roots, and
 the sieve's next-hit array is computed from them.
@@ -405,32 +407,55 @@ def _pow_lanes(a: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x
 
 
-# lanes per block of the prime sums and of count_cubic_roots: 2^16 ran no
-# faster, and its numpy temporaries raised the peak memory of a count run
-_PRIME_BLOCK = 1 << 14
+_PRIME_SUM_TOP = 10**8  # cap of the prime sums and of count_cubic_roots on arrays
 
 
 def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
-    """nu(p) for prime p, or for each lane of a uint64 array of primes below
-    2^32, without computing the roots themselves.
+    """nu(p) for prime p, or for each lane of a uint64 array of primes up to
+    1e8, without computing the roots themselves.
 
     For p = 2, 3 and p == 2 (mod 3) cubing is a bijection so nu(p) = 1; for
-    p == 1 (mod 3) the count is 3 or 0 by the cubic-residue character of -2,
-    (p-2)^((p-1)/3) mod p, taken on lanes by _pow_lanes.
+    p == 1 (mod 3) the count is 3 or 0. One prime takes the cubic-residue
+    character of -2, (p-2)^((p-1)/3) mod p, at any size; an array takes
+    Gauss's criterion from _cube_marks of its largest prime, and a prime
+    above the cap raises DomainError.
     """
     if not isinstance(p, np.ndarray):
         p = _integer("p", p)
         if p in (2, 3) or p % 3 == 2:
             return 1
         return 3 if pow(p - 2, (p - 1) // 3, p) == 1 else 0
-    if p.size and int(p.max()) >> 32:
-        raise DomainError(f"lane primes must lie below 2^32, got {int(p.max())}")
-    counts = np.ones(p.shape, dtype=np.int64)
-    lanes = np.flatnonzero(p % 3 == 1)  # taken in blocks that stay in cache
-    for block in np.split(lanes, range(_PRIME_BLOCK, lanes.size, _PRIME_BLOCK)):
-        m = p[block]
-        counts[block] = np.where(_pow_lanes(m - 2, (m - 1) // 3, m) == 1, 3, 0)
-    return counts
+    top = int(p.max(initial=0))
+    if top > _PRIME_SUM_TOP:
+        raise DomainError(f"lane primes are capped at 1e8, got {top}")
+    return _marked_counts(p, _cube_marks(top))
+
+
+def _cube_marks(limit: int) -> np.ndarray:
+    """Gauss's criterion as a table: marks[v // 6] is True for every
+    v = x^2 + 27y^2 <= limit with x, y >= 1 of opposite parity and 3 not
+    dividing x, each such v being 1 mod 6.
+
+    A prime p == 1 (mod 3) is marked exactly when 2, and so -2 = (-1)^3 * 2,
+    is a cube mod p (Gauss; Cox, Primes of the Form x^2 + ny^2, section 4):
+    a representation of p has x, y >= 1, 3 not dividing x, and opposite
+    parity since p is odd. One byte per six integers; the values at other
+    indices are never read."""
+    marks = np.zeros(limit // 6 + 1, dtype=bool)
+    x = np.arange(1, isqrt(limit) + 1, dtype=np.int64)
+    x = x[x % 3 != 0]
+    squares = (x[x % 2 == 1] ** 2, x[x % 2 == 0] ** 2)  # odd x, even x
+    for y in range(1, isqrt(limit // 27) + 1):
+        sq = squares[y % 2]  # x of the other parity than y
+        v = sq[: np.searchsorted(sq, limit - 27 * y * y, side="right")] + 27 * y * y
+        marks[v // 6] = True
+    return marks
+
+
+def _marked_counts(p: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """nu(p) on each lane of a uint64 array of primes covered by marks."""
+    q = p // 6
+    return np.where(p - 6 * q == 1, 3 * marks[q], 1)
 
 
 def _trial_factor(d: int) -> dict[int, int]:
@@ -534,8 +559,8 @@ def build_root_table(limit: int) -> RootTable:
 
 
 def _lane_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table arrays (p, r) of an ascending uint64 array of primes below
-    2^32: for p = 2, 3 and p == 2 (mod 3) the one root (p-2)^((2p-1)/3)
+    """The table arrays (p, r) of an ascending uint64 array of primes up to
+    1e8: for p = 2, 3 and p == 2 (mod 3) the one root (p-2)^((2p-1)/3)
     mod p, and for the p == 1 (mod 3) with nu(p) = 3 the three of
     _cube_root_triples. This is the only construction of the roots; nu
     counts them without it. The roots pass _check_roots, or DomainError is
@@ -577,9 +602,9 @@ def _cube_root_triples(p: np.ndarray) -> np.ndarray:
     while (div := u % 3 == 0).any():
         t += div
         u = np.where(div, u // 3, u)
-    # the smallest cubic non-residue z
+    # the smallest cubic non-residue z: not 2, which is a cube as -2 and -1 are
     third = (p - 1) // 3
-    z = np.full_like(p, 2)
+    z = np.full_like(p, 3)
     todo = np.flatnonzero(_pow_lanes(z, third, p) == 1)
     while todo.size:
         z[todo] += 1
@@ -587,8 +612,9 @@ def _cube_root_triples(p: np.ndarray) -> np.ndarray:
     g = _pow_lanes(z, u, p)  # order exactly 3^t
     inv3 = np.where(u % 3 == 1, 2 * u + 1, u + 1) // 3  # 3^-1 mod u
     x = _pow_lanes(a, inv3, p)
-    # e = x^3 / a lies in <g> and is a cube there; divide its cube root out
-    e = x * x % p * x % p * _pow_lanes(a, p - 2, p) % p
+    # e = x^3 / a lies in <g> and is a cube there; divide its cube root out.
+    # 1/a = (p - 1)/2, as -2 * (p - 1)/2 = 1 - p
+    e = x * x % p * x % p * ((p - 1) // 2) % p
     gamma = _pow_lanes(g, 3 ** (t - 1), p)
     w = np.zeros_like(p)
     for i in range(int(t.max(initial=0))):
@@ -931,6 +957,11 @@ def empirical_T(
 # Prime-sum estimate
 # ---------------------------------------------------------------------------
 
+# primes per block of the prime sums: 2^16 ran no faster, and its numpy
+# temporaries raised the peak memory
+_PRIME_BLOCK = 1 << 14
+
+
 def mertens_check(
     x: int, checkpoints: Iterable[int] | None = None
 ) -> list[tuple[int, float]]:
@@ -960,7 +991,7 @@ def _prime_sums(
     x = _integer("x", x)
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
-    if x > 10**8:
+    if x > _PRIME_SUM_TOP:
         raise DomainError(f"x is capped at 1e8, got {x}")
     if checkpoints is None:
         cps = [10**j for j in range(1, 9) if 10**j < x]
@@ -970,6 +1001,7 @@ def _prime_sums(
         if not cps or cps[0] < 2 or cps[-1] > x:
             raise DomainError("checkpoints must lie in [2, x]")
     primes = _prime_array(cps[-1])
+    marks = _cube_marks(cps[-1])  # after the sieve, whose peak it would raise
     # the last prime at or below each checkpoint
     ends = np.searchsorted(primes, np.array(cps, dtype=np.uint64), side="right") - 1
     out: list[tuple[int, float]] = []
@@ -978,11 +1010,14 @@ def _prime_sums(
     j = 0
     for start in range(0, primes.size, _PRIME_BLOCK):
         block = primes[start : start + _PRIME_BLOCK]
-        nus = count_cubic_roots(block)
+        nus = _marked_counts(block, marks)
         # the loop's acc += nu*log(p)/p, in the same roundings and order:
         # math.log, since numpy's log may differ from libm in the last bit,
-        # and a cumulative sum, which adds strictly from left to right
-        logs = np.fromiter(map(math.log, block.tolist()), dtype=np.float64, count=block.size)
+        # and a cumulative sum, which adds strictly from left to right. A
+        # term with nu(p) = 0 is 0.0 whatever the log, so its log is not taken
+        logs = np.zeros(block.size)
+        lit = np.flatnonzero(nus)
+        logs[lit] = np.fromiter(map(math.log, block[lit].tolist()), np.float64, lit.size)
         sums = nus * logs / block
         sums[0] += acc
         np.cumsum(sums, out=sums)

@@ -2,6 +2,7 @@
 
 These deliberately avoid the production code paths: the exponential integral
 comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), the
+tails and the proportion of a reproduction from mpmath at the reported tilts, the
 factorisations and primes from plain trial division, the prime sum from a
 loop over one prime at a time, the congruence-root counts from direct residue
 enumeration, the exact region integrals behind the bound coefficients
@@ -11,7 +12,9 @@ over one prime at a time.
 
 import math
 import struct
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from cubebound.bounds import BoundParams
@@ -51,6 +54,55 @@ def exp_integral_oracle(alpha: float, a: float, b: float) -> float:
     if alpha == 0.0:
         return math.log(b / a)
     return ei_series(alpha * b) - ei_series(alpha * a)
+
+
+def reproduction_oracle(report, dps: int = 40) -> dict:
+    """tail_first, tail_second and alpha of a report recomputed in mpmath at
+    dps digits: every k-term at its reported tilt alpha_k with mpmath.ei and
+    the exact rational limits delta and s_max, the closed-form terms from
+    log(s_max/delta)^k/k!, then the report's sums and weight. Only the tilts
+    and the configuration are read from the report."""
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    delta = report.delta
+    inv_floor = delta.denominator // delta.numerator
+
+    def real(q: Fraction):
+        return mp.mpf(q.numerator) / q.denominator
+
+    def s_max(h, k):
+        return (3 - (k - 1) * delta) / (h - k + 1)
+
+    def closed_form(h, k):
+        top = s_max(h, k)
+        if top <= delta:
+            return mp.mpf(0)
+        return mp.log(real(top / delta)) ** k / mp.factorial(k)
+
+    def tilted(h, k, alpha):
+        top = s_max(h, k)
+        if top <= delta:
+            return mp.mpf(0)
+        a, b, alpha = real(delta), real(top), mp.mpf(alpha)
+        integral = mp.ei(alpha * b) - mp.ei(alpha * a) if alpha else mp.log(b / a)
+        lower = real(Fraction(h - k - 3, h - k - 1))
+        return mp.exp(-alpha * lower) * integral**k / mp.factorial(k)
+
+    tails = {"first": mp.mpf(0), "second": mp.mpf(0)}
+    for t in report.per_h_terms:
+        if t.method == "first":
+            coefficient = closed_form(t.h, t.h // 3)
+        else:
+            coefficient = closed_form(t.h, t.K) + mp.fsum(
+                tilted(t.h, c.k, c.alpha) for c in t.tilt_choices
+            )
+        tails[t.method] += coefficient * min(t.h, inv_floor) * mp.mpf(2) ** t.h
+    weight = mp.mpf(2) ** -report.H / min(report.H, inv_floor)
+    return {
+        "tail_first": tails["first"],
+        "tail_second": tails["second"],
+        "alpha": weight * (mp.mpf(report.S_lower) - tails["first"] - tails["second"]),
+    }
 
 
 def trial_factor(m: int) -> dict[int, int]:

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cubebound import (
@@ -20,7 +21,10 @@ from cubebound import (
     sweep_H,
     weighted_tail,
 )
+from cubebound.aggregate import _assemble_report
 from cubebound.lognum import LogNumber
+
+from oracles import reproduction_oracle
 
 D321 = Fraction(1, 321)
 
@@ -138,6 +142,30 @@ def test_final_constants_inversion_identity(default_report):
     inv_weight = LogNumber(1, rep.H * math.log(2.0) + math.log(min(rep.H, 321)))
     lhs = ln_add(ln_mul(inv_weight, rep.alpha_proportion), rep.tail_total)
     assert lhs.to_real() == pytest.approx(rep.S_lower, rel=1e-9)
+
+
+def _oracle_errors(report, oracle):
+    """Relative distance of the report's tails and alpha from the oracle's."""
+    values = {"tail_first": report.tail_first, "tail_second": report.tail_second,
+              "alpha": report.alpha_proportion}
+    return {k: float(abs(oracle[k] / mpmath.exp(v.log_mag) - 1)) for k, v in values.items()}
+
+
+def test_reproduction_matches_the_mpmath_oracle(default_report):
+    # mpmath at the reported tilts puts the true errors near 2e-14; each of
+    # the three values is held to 1e-12
+    oracle = reproduction_oracle(default_report)
+    errors = _oracle_errors(default_report, oracle)
+    assert max(errors.values()) <= 1e-12, errors
+    # the dominant per-h term scaled by 1 + 1e-9 is caught
+    second = [t for t in default_report.per_h_terms if t.method == "second"]
+    first = [t for t in default_report.per_h_terms if t.method == "first"]
+    top = max(range(len(second)), key=lambda i: second[i].weighted.log_mag)
+    scaled = LogNumber(1, second[top].weighted.log_mag + math.log1p(1e-9))
+    second[top] = replace(second[top], weighted=scaled)
+    perturbed = _assemble_report(AggregateConfig(), second, first)
+    errors = _oracle_errors(perturbed, oracle)
+    assert errors["tail_second"] > 1e-12 and errors["alpha"] > 1e-12, errors
 
 
 def test_failure_state_zero_s_lower():

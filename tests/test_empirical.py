@@ -313,29 +313,36 @@ def test_cube_roots_match_enumeration_everywhere(roots_enum_1e5):
     assert count_cubic_roots(primes).tolist() == [len(roots_enum_1e5[p]) for p in primes.tolist()]
 
 
-def test_lane_cubic_root_counts_join_across_blocks(roots_enum_1e5, monkeypatch):
-    # the p == 1 (mod 3) lanes go in blocks of _PRIME_BLOCK; blocks of 7
-    # put a seam every few lanes
-    monkeypatch.setattr(empirical, "_PRIME_BLOCK", 7)
-    primes = np.array(sorted(roots_enum_1e5), dtype=np.uint64)
-    assert count_cubic_roots(primes).tolist() == [len(roots_enum_1e5[p]) for p in primes.tolist()]
+def test_lane_cubic_root_counts_match_the_scalar_character():
+    # Gauss's criterion on arrays against the scalar Euler criterion
+    # (p-2)^((p-1)/3) on every prime to 2e6
+    primes = sieve_primes(2 * 10**6)
+    lanes = count_cubic_roots(np.array(primes, dtype=np.uint64)).tolist()
+    assert lanes == [count_cubic_roots(p) for p in primes]
+
+
+def test_lane_cubic_root_counts_of_edge_arrays():
+    # a largest prime that is x^2 + 27y^2 (31 = 2^2 + 27, 43 = 4^2 + 27) marks
+    # the last cell of its table; 7 and 13 are 1 mod 3 and not of the form
+    for primes, want in (([31], [3]), ([43], [3]), ([7], [0]), ([13], [0]),
+                         ([2], [1]), ([3], [1]), ([], []), ([2, 3, 5, 7, 31], [1, 1, 1, 0, 3])):
+        got = count_cubic_roots(np.array(primes, dtype=np.uint64))
+        assert got.tolist() == want == [count_cubic_roots(p) for p in primes], primes
 
 
 def test_lane_cubic_root_counts_match_scalar_near_the_caps():
-    # near the 1e8 cap of mertens_check and below 2^32, where p^2 nearly
-    # fills a uint64 lane
+    # near the 1e8 cap of the prime sums, which the lanes share; a prime
+    # above it raises, up to 2^32 as well
     rng = random.Random(20141201)
-    primes = sorted(
-        p for lo in (10**8 - 10**6, 2**32 - 10**6) for p in rng.sample(range(lo, lo + 10**6), 4000)
-        if sympy.isprime(p)
-    )
-    primes.append(4_294_967_291)  # the largest prime below 2^32
-    assert len(primes) > 300
+    primes = sorted(p for p in rng.sample(range(10**8 - 10**6, 10**8), 4000) if sympy.isprime(p))
+    primes.append(99_999_989)  # the largest prime below 1e8
+    assert len(primes) > 150
     lanes = count_cubic_roots(np.array(primes, dtype=np.uint64)).tolist()
     assert lanes == [count_cubic_roots(p) for p in primes]
     assert set(lanes) == {0, 1, 3}
-    with pytest.raises(DomainError):
-        count_cubic_roots(np.array([5, 4_294_967_311], dtype=np.uint64))  # above 2^32
+    for above in (100_000_007, 4_294_967_291):  # the next prime, and the largest below 2^32
+        with pytest.raises(DomainError, match="capped at 1e8"):
+            count_cubic_roots(np.array([5, above], dtype=np.uint64))
 
 
 def _flat(table):
