@@ -425,6 +425,8 @@ def count_cubic_roots(p: int | np.ndarray) -> int | np.ndarray:
         if p in (2, 3) or p % 3 == 2:
             return 1
         return 3 if pow(p - 2, (p - 1) // 3, p) == 1 else 0
+    if p.dtype != np.uint64:  # an int64 lane of -5 would read a mark
+        raise DomainError(f"lane primes must be a uint64 array, got {p.dtype}")
     top = int(p.max(initial=0))
     if top > _PRIME_SUM_TOP:
         raise DomainError(f"lane primes are capped at 1e8, got {top}")
@@ -439,8 +441,8 @@ def _cube_marks(limit: int) -> np.ndarray:
     A prime p == 1 (mod 3) is marked exactly when 2, and so -2 = (-1)^3 * 2,
     is a cube mod p (Gauss; Cox, Primes of the Form x^2 + ny^2, section 4):
     a representation of p has x, y >= 1, 3 not dividing x, and opposite
-    parity since p is odd. One byte per six integers; the values at other
-    indices are never read."""
+    parity since p is odd. One byte per six integers; a cell counts only
+    for the p == 1 (mod 6) it stands for."""
     marks = np.zeros(limit // 6 + 1, dtype=bool)
     x = np.arange(1, isqrt(limit) + 1, dtype=np.int64)
     x = x[x % 3 != 0]

@@ -1,8 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the production code paths: the exponential integral
-comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), the
-tails and the proportion of a reproduction from mpmath at the reported tilts, the
+comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), a
+reproduction's tails and proportion from mpmath at its reported tilts, the
 factorisations and primes from plain trial division, the prime sum from a
 loop over one prime at a time, the congruence-root counts from direct residue
 enumeration, the exact region integrals behind the bound coefficients
@@ -56,14 +56,14 @@ def exp_integral_oracle(alpha: float, a: float, b: float) -> float:
     return ei_series(alpha * b) - ei_series(alpha * a)
 
 
-def reproduction_oracle(report, dps: int = 40) -> dict:
+def reproduction_oracle(report) -> dict:
     """tail_first, tail_second and alpha of a report recomputed in mpmath at
-    dps digits: every k-term at its reported tilt alpha_k with mpmath.ei and
+    40 digits: every k-term at its reported tilt alpha_k with mpmath.ei and
     the exact rational limits delta and s_max, the closed-form terms from
     log(s_max/delta)^k/k!, then the report's sums and weight. Only the tilts
     and the configuration are read from the report."""
     mp = mpmath.mp.clone()
-    mp.dps = dps
+    mp.dps = 40
     delta = report.delta
     inv_floor = delta.denominator // delta.numerator
 

@@ -328,6 +328,10 @@ def test_lane_cubic_root_counts_of_edge_arrays():
                          ([2], [1]), ([3], [1]), ([], []), ([2, 3, 5, 7, 31], [1, 1, 1, 0, 3])):
         got = count_cubic_roots(np.array(primes, dtype=np.uint64))
         assert got.tolist() == want == [count_cubic_roots(p) for p in primes], primes
+    # only uint64 lanes: a negative int64 lane would index the table from its end
+    for bad in (np.array([-5, 31]), np.array([31], dtype=np.int32), np.array([31.0])):
+        with pytest.raises(DomainError, match="uint64"):
+            count_cubic_roots(bad)
 
 
 def test_lane_cubic_root_counts_match_scalar_near_the_caps():
