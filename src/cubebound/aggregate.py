@@ -4,8 +4,9 @@ The pipeline sums min(h, [1/delta]) * 2^h * c(h, delta) over h above a cutoff
 H, using the tilted bound below split_h and the closed form from split_h up,
 subtracts the total from the sieve lower-bound constant S_lower, applies the
 2^(-H)/min(H, [1/delta]) weight, and reports the resulting proportion alpha
-together with the exponent varpi = alpha*delta/2. reproduction_checks judges
-a report against the paper's five reference constants.
+together with the exponent varpi = alpha*delta/2; a report whose h_max
+truncates the nonzero tail is not ok. reproduction_checks judges a report
+against REFERENCE_LIMITS, the table of the paper's five reference constants.
 
 All reductions run in ascending h so reports are bit-reproducible.
 """
@@ -40,14 +41,15 @@ _LN2 = math.log(2.0)
 # meaningless round-off proportion
 _MARGIN_REL_FLOOR = 1e-9
 
-# the five reference constants a reproduction is judged against: the tails
-# are bounded from above, the proportion and the exponent from below
+# the five reference constants a reproduction is judged against, each as
+# (document name, AggregateReport field, direction, limit): the tails are
+# bounded from above, the proportion and the exponent from below
 REFERENCE_LIMITS = (
-    ("tail_first", "<=", 9.2e-10),
-    ("tail_second", "<=", 3.6e-8),
-    ("tail_total", "<=", 3.7e-8),
-    ("alpha", ">=", 7.7e-50),
-    ("varpi", ">=", 1e-52),
+    ("tail_first", "tail_first", "<=", 9.2e-10),
+    ("tail_second", "tail_second", "<=", 3.6e-8),
+    ("tail_total", "tail_total", "<=", 3.7e-8),
+    ("alpha", "alpha_proportion", ">=", 7.7e-50),
+    ("varpi", "varpi", ">=", 1e-52),
 )
 _IDENTITY_REL_TOL = 1e-9
 
@@ -97,7 +99,8 @@ class PerHTerm:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Pipeline result; ok is False when the margin is zero or negative."""
+    """Pipeline result; ok is False when h_max truncates the nonzero tail or
+    the margin is zero or negative."""
 
     ok: bool
     failure: str | None
@@ -158,6 +161,11 @@ def proportion_weight(H: int, delta: Fraction) -> LogNumber:
     return LogNumber(1, -H * _LN2 - math.log(min(H, delta.denominator // delta.numerator)))
 
 
+def _last_nonzero_h(delta: Fraction) -> int:
+    """Last h with first_bound(h, delta) > 0, as it vanishes once h*delta >= 3."""
+    return math.ceil(3 / delta) - 1
+
+
 def _assemble_report(
     cfg: AggregateConfig,
     second_terms: Sequence[PerHTerm],
@@ -180,23 +188,25 @@ def _assemble_report(
         LogNumber(1, s_lower.log_mag + math.log(_MARGIN_REL_FLOOR))
         if s_lower.sign > 0 else ZERO
     )
-    if margin.sign <= 0 or margin <= numeric_floor:
+    last_h = _last_nonzero_h(cfg.delta)
+    if cfg.h_max < last_h:
+        failure = (f"h_max={cfg.h_max} truncates the tail: the closed-form terms "
+                   f"are nonzero up to h={last_h}")
+    elif margin.sign <= 0 or margin <= numeric_floor:
+        failure = ("margin S_lower - tail_total is zero or negative; "
+                   "no positive proportion follows")
+    else:
+        alpha = ln_mul(proportion_weight(cfg.H, cfg.delta), margin)
+        varpi = ln_mul(alpha, from_fraction(cfg.delta / 2))
+        count = ln_mul(from_fraction(cfg.delta), ln_pow_int(alpha, 2))
         return AggregateReport(
-            ok=False,
-            failure=(
-                "margin S_lower - tail_total is zero or negative; "
-                "no positive proportion follows"
-            ),
-            alpha_proportion=ZERO, varpi=ZERO, count_proportion=ZERO,
+            ok=True, failure=None,
+            alpha_proportion=alpha, varpi=varpi, count_proportion=count,
             **common,
         )
-
-    alpha = ln_mul(proportion_weight(cfg.H, cfg.delta), margin)
-    varpi = ln_mul(alpha, from_fraction(cfg.delta / 2))
-    count = ln_mul(from_fraction(cfg.delta), ln_pow_int(alpha, 2))
     return AggregateReport(
-        ok=True, failure=None,
-        alpha_proportion=alpha, varpi=varpi, count_proportion=count,
+        ok=False, failure=failure,
+        alpha_proportion=ZERO, varpi=ZERO, count_proportion=ZERO,
         **common,
     )
 
@@ -239,16 +249,9 @@ def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
     identity 2^H*min(H,[1/delta])*alpha + tail_total == S_lower, and whether
     all of them pass. A report that is not ok fails alpha, varpi and the
     identity."""
-    values = {
-        "tail_first": report.tail_first,
-        "tail_second": report.tail_second,
-        "tail_total": report.tail_total,
-        "alpha": report.alpha_proportion,
-        "varpi": report.varpi,
-    }
     checks = []
-    for name, op, limit in REFERENCE_LIMITS:
-        value, bound = values[name], from_real(limit)
+    for name, field, op, limit in REFERENCE_LIMITS:
+        value, bound = getattr(report, field), from_real(limit)
         checks.append({
             "name": f"{name} {op} {limit:g}",
             "passed": value <= bound if op == "<=" else value >= bound,
@@ -259,6 +262,8 @@ def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
         weighted = ln_div(report.alpha_proportion, proportion_weight(report.H, report.delta))
         rel = abs(ln_add(weighted, report.tail_total).to_real() / report.S_lower - 1.0)
         identity_ok, computed = rel <= _IDENTITY_REL_TOL, f"relative error {rel:.3e}"
+    elif report.h_max < _last_nonzero_h(report.delta):
+        identity_ok, computed = False, "tail truncated at h_max"
     else:
         identity_ok, computed = False, "margin not positive"
     checks.append({

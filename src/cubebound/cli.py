@@ -8,16 +8,19 @@ Usage:
     cubebound empirical mertens --limit 1000000
     cubebound empirical nu --d 31
 
-The CLI parses arguments, calls the library and renders its results: the
-reproduce verdict (the five reference checks, the identity and the overall
-PASS) is aggregate.reproduction_checks. Every run prints one JSON document
+The CLI parses arguments, calls the library and renders its results; it
+holds no reproduction constant. reproduce takes its defaults from
+AggregateConfig(), its verdict from aggregate.reproduction_checks, and its
+five quantities, with the rounding of their display (up for <=, down for
+>=), from aggregate.REFERENCE_LIMITS. Every run prints one JSON document
 (manifest + result) to stdout; the human-readable summary derived from that
-document goes to stderr. Exit codes:
-0 success/PASS, 1 usage error, 2 computation failure (an unreadable or
-unwritable cache or an unwritable --out file included), 3 reproduction FAIL.
-Documents are byte-reproducible when --timestamp is pinned. reproduce --jobs N
-is accepted and ignored; the pipeline runs serially. No command takes
---rel-tol: every tilted integral is certified to 1e-12 relative.
+document goes to stderr. Exit codes: 0 success/PASS, 1 usage error, 2
+computation failure (an unreadable or unwritable cache or an unwritable
+--out file included), 3 reproduction FAIL (an --h-max that truncates the
+nonzero tail included). Documents are byte-reproducible when --timestamp is
+pinned. reproduce --jobs N is accepted and ignored; the pipeline runs
+serially. No command takes --rel-tol: every tilted integral is certified to
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from fractions import Fraction
 
 from . import __version__
 from .aggregate import (
+    REFERENCE_LIMITS,
     AggregateConfig,
     AggregateReport,
     display_round,
@@ -71,6 +75,7 @@ def build_parser() -> _Parser:
         help="fixed ISO timestamp for byte-reproducible documents (default: now)",
     )
 
+    paper = AggregateConfig()  # the defaults reproduce the paper's constants
     parser = _Parser(prog="cubebound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -81,7 +86,7 @@ def build_parser() -> _Parser:
         bp.add_argument("--h", type=int, required=True)
         bp.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
         if variant == "second":
-            bp.add_argument("--K-offset", dest="K_offset", type=int, default=20)
+            bp.add_argument("--K-offset", dest="K_offset", type=int, default=paper.K_offset)
             bp.add_argument(
                 "--alpha",
                 type=float,
@@ -94,12 +99,12 @@ def build_parser() -> _Parser:
         parents=[common],
         help="run the full pipeline and check the five reference constants",
     )
-    rep.add_argument("--delta", type=_fraction_arg, default=Fraction(1, 321), metavar="P/Q")
-    rep.add_argument("--H", type=int, default=132)
-    rep.add_argument("--split", type=int, default=190)
-    rep.add_argument("--h-max", type=int, default=963)
-    rep.add_argument("--K-offset", dest="K_offset", type=int, default=20)
-    rep.add_argument("--s-lower", type=float, default=9.2e-8)
+    rep.add_argument("--delta", type=_fraction_arg, default=paper.delta, metavar="P/Q")
+    rep.add_argument("--H", type=int, default=paper.H)
+    rep.add_argument("--split", type=int, default=paper.split_h)
+    rep.add_argument("--h-max", type=int, default=paper.h_max)
+    rep.add_argument("--K-offset", dest="K_offset", type=int, default=paper.K_offset)
+    rep.add_argument("--s-lower", type=float, default=paper.S_lower)
     rep.add_argument("--jobs", type=int, help="accepted and ignored; the pipeline runs serially")
 
     emp = sub.add_parser("empirical", help="desk-scale counting and checks")
@@ -158,6 +163,7 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
 
 
 def _report_doc(report: AggregateReport) -> dict:
+    rows = [(name, getattr(report, field), op) for name, field, op, _ in REFERENCE_LIMITS]
     return {
         "ok": report.ok,
         "failure": report.failure,
@@ -167,20 +173,11 @@ def _report_doc(report: AggregateReport) -> dict:
         "h_max": report.h_max,
         "K_offset": report.K_offset,
         "S_lower": report.S_lower,
-        "tail_first": _lognum_doc(report.tail_first),
-        "tail_second": _lognum_doc(report.tail_second),
-        "tail_total": _lognum_doc(report.tail_total),
+        **{name: _lognum_doc(value) for name, value, _ in rows},
         "margin": _lognum_doc(report.margin),
-        "alpha": _lognum_doc(report.alpha_proportion),
-        "varpi": _lognum_doc(report.varpi),
         "count_proportion": _lognum_doc(report.count_proportion),
-        "display": {
-            "tail_first": display_round(report.tail_first, "up"),
-            "tail_second": display_round(report.tail_second, "up"),
-            "tail_total": display_round(report.tail_total, "up"),
-            "alpha": display_round(report.alpha_proportion, "down"),
-            "varpi": display_round(report.varpi, "down"),
-        },
+        # each quantity is quoted on the adverse side of its reference limit
+        "display": {n: display_round(v, "up" if op == "<=" else "down") for n, v, op in rows},
         "per_h": [
             {
                 "h": t.h,
@@ -293,8 +290,8 @@ def _render_human(manifest: dict, result: dict) -> str:
             )
     elif manifest["command"] == "reproduce":
         rep = result["report"]
-        for key in ("tail_first", "tail_second", "tail_total", "alpha", "varpi"):
-            lines.append(f"{key:>12} = {rep[key]['sci']}  (display {rep['display'][key]})")
+        for key, shown in rep["display"].items():
+            lines.append(f"{key:>12} = {rep[key]['sci']}  (display {shown})")
         for check in result["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             lines.append(f"{status}: {check['name']}  [{check['computed']}]")

@@ -54,15 +54,11 @@ from .errors import DomainError, FactorizationError
 
 MAX_RANGE_TOP = 10**7  # values stay below 1e21+2, inside the certified MR range
 
-# deterministic Miller-Rabin witness sets with their validity thresholds
-_MR_LADDER = (
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the smallest composite that passes strong tests to every base of
+# _SMALL_PRIMES (Sorenson & Webster, Math. Comp. 86, 2017): below it those
+# twelve tests decide every n
+_MR_TOP = 318_665_857_834_031_151_167_461
 
 
 def _integer(name: str, value) -> int:
@@ -99,14 +95,15 @@ def is_certified_prime(n: int | Sequence[int]) -> bool | list[bool]:
     """Whether n, or each value of the sequence n, is prime, by a test that
     is a proof below ~3.18e23.
 
-    One value at a time, the test is deterministic Miller-Rabin with the
-    witness sets of _MR_LADDER. A sequence's values in (1, 2^63) are tested
-    together on numpy lanes when there are at least _MR_BATCH_MIN of them,
-    by the same small-prime divisions and then BPSW: a strong test to base 2
-    and Selfridge's strong Lucas test. No composite below 2^64 passes BPSW
-    (Baillie, Fiori & Wagstaff, Math. Comp. 90, 2021, on Feitsma's list of
-    the base-2 pseudoprimes), so the verdicts are the same. Each value must
-    be a Python or numpy integer; a str or bytes is not taken as a sequence.
+    One value at a time, the test is deterministic Miller-Rabin to the
+    twelve bases 2..37 of _SMALL_PRIMES. A sequence's values in (1, 2^63)
+    are tested together on numpy lanes when there are at least _MR_BATCH_MIN
+    of them, by the same small-prime divisions and then BPSW: a strong test
+    to base 2 and Selfridge's strong Lucas test. No composite below 2^64
+    passes BPSW (Baillie, Fiori & Wagstaff, Math. Comp. 90, 2021, on
+    Feitsma's list of the base-2 pseudoprimes), so the verdicts are the
+    same. Each value must be a Python or numpy integer; a str or bytes is
+    not taken as a sequence.
     """
     if isinstance(n, (str, bytes)) or not isinstance(n, Sequence):
         return _mr_int(_integer("n", n))
@@ -127,17 +124,14 @@ def _mr_int(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    for bound, bases in _MR_LADDER:
-        if n < bound:
-            break
-    else:
+    if n >= _MR_TOP:
         raise DomainError(f"{n} is beyond the certified primality range")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -155,12 +149,12 @@ def _mr_int(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-# A primality batch pays numpy's per-call cost (about 8 ms for BPSW on
-# 56-bit values) and one value about 0.06 ms on Python ints, so batches
-# under _MR_BATCH_MIN are tested there; the lockstep Brent walks hand their
-# lanes over to Python ints (about 3 ms of walk each) once fewer than
-# _BRENT_BATCH_MIN remain.
-_MR_BATCH_MIN = 150
+# A primality batch pays numpy's per-call cost (about 11 ms for BPSW on
+# 57-bit count residuals, 78% of them prime) and one such value about
+# 0.115 ms on Python ints, so batches under _MR_BATCH_MIN are tested there;
+# the lockstep Brent walks hand their lanes over to Python ints (about 3 ms
+# of walk each) once fewer than _BRENT_BATCH_MIN remain.
+_MR_BATCH_MIN = 100
 _BRENT_BATCH_MIN = 100
 _LO32 = np.uint64(0xFFFF_FFFF)
 _U32 = np.uint64(32)

@@ -212,6 +212,27 @@ def test_sweep_all_failures_when_s_lower_zero():
     assert all(not rep.ok for _, rep in results)
 
 
+def test_truncated_tail_is_a_failure_not_an_error():
+    # first_bound(h, 1/321) is nonzero up to h = 962 (about e^-3599 there)
+    # and zero from 963 on, so any h_max below 962 drops nonzero terms; the
+    # sweep reports that per H, as it does every other failure
+    assert first_bound(962, D321).sign == 1 and first_bound(963, D321) == ZERO
+    assert sweep_H(AggregateConfig(h_max=962), [132])[0][1].ok
+    results = sweep_H(AggregateConfig(h_max=961), range(125, 135))
+    assert [H for H, _ in results] == list(range(125, 135))
+    for _, rep in results:
+        assert not rep.ok
+        assert rep.failure == (
+            "h_max=961 truncates the tail: the closed-form terms are nonzero up to h=962"
+        )
+        assert rep.alpha_proportion == ZERO and rep.varpi == ZERO
+    checks, overall = reproduction_checks(dict(results)[132])
+    failed = {c["name"]: c["computed"] for c in checks if not c["passed"]}
+    assert list(failed) == CHECK_NAMES[3:]
+    assert failed[CHECK_NAMES[5]] == "tail truncated at h_max"
+    assert overall is False
+
+
 def test_sweep_validation():
     cfg = AggregateConfig()
     with pytest.raises(DomainError):

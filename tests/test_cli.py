@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import cubebound
 from cubebound import (
     DomainError, build_root_table, load_root_table, mean_nu, mertens_check, reproduction_checks,
 )
+from cubebound.aggregate import REFERENCE_LIMITS
 from cubebound.cli import main
 from cubebound import empirical
 from cubebound.empirical import sieve_primes
@@ -279,6 +281,41 @@ def test_reproduce_zero_sieve_constant_fails(capsys):
     assert doc["result"]["overall_pass"] is False
     assert "margin" in doc["result"]["report"]["failure"]
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("h_max", ["961", "189"])
+def test_reproduce_with_a_truncated_tail_fails(capsys, h_max):
+    # the closed-form terms are nonzero up to h = 962 at delta = 1/321, so
+    # a tail that stops short of it proves nothing, whatever its margin
+    code, out, err = run_cli(capsys, "reproduce", "--h-max", h_max, "--timestamp", "T")
+    assert code == 3
+    result = doc_of(out)["result"]
+    assert result["overall_pass"] is False
+    failure = result["report"]["failure"]
+    assert failure == (
+        f"h_max={h_max} truncates the tail: the closed-form terms are nonzero up to h=962"
+    )
+    assert f"failure: {failure}" in err
+
+
+def test_reproduce_display_is_on_the_adverse_side_of_each_row(capsys, default_report):
+    # every row of REFERENCE_LIMITS: the document's entry is the report field
+    # the row names, and its display lies between the exact value (exp of
+    # log_mag at 40 digits) and the decimal limit, so it rounds away from
+    # the limit's side and still clears the limit
+    _, out, _ = run_cli(capsys, "reproduce", "--timestamp", "T")
+    rep = doc_of(out)["result"]["report"]
+    assert set(rep["display"]) == {name for name, *_ in REFERENCE_LIMITS}
+    for name, field, op, limit in REFERENCE_LIMITS:
+        value = getattr(default_report, field)
+        assert rep[name]["log_mag"] == value.log_mag, name
+        exact = decimal.Context(prec=40).exp(decimal.Decimal(value.log_mag))
+        shown, bound = decimal.Decimal(rep["display"][name]), decimal.Decimal(str(limit))
+        assert op in ("<=", ">="), name
+        if op == "<=":
+            assert exact <= shown <= bound, name
+        else:
+            assert bound <= shown <= exact, name
 
 
 def test_reproduce_first_bound_everywhere_is_worse(capsys, default_report):

@@ -65,6 +65,18 @@ def test_certified_prime_large():
     assert not is_certified_prime((2**31 - 1) * (2**31 + 11))
 
 
+def test_certified_prime_range_ends_at_the_twelve_base_pseudoprime():
+    # the top of the range is a strong pseudoprime to every base 2..37, so
+    # the twelve bases cannot decide it; below it they decide every value
+    top = empirical._MR_TOP
+    assert not sympy.isprime(top)
+    assert all(is_strong_probable_prime(top, a) for a in empirical._SMALL_PRIMES)
+    with pytest.raises(DomainError, match="certified primality range"):
+        is_certified_prime(top)
+    below = [top - k for k in range(2, 400, 2)]
+    assert is_certified_prime(below) == [sympy.isprime(v) for v in below]
+
+
 # ---------------------------------------------------------------------------
 # batched residual kernel (numpy Montgomery lanes)
 # ---------------------------------------------------------------------------
@@ -85,14 +97,16 @@ def test_certified_prime_batch_matches_sympy_below_3e5(monkeypatch):
     assert seen["lucas"] == [v for v in seen["base 2"] if is_strong_probable_prime(v, 2)]
 
 
-# strong pseudoprimes to every base of the rung below each ladder threshold;
+# the smallest strong pseudoprimes to the first 4, 6, 7 and 9 prime bases
+# (the thresholds of the classical witness-set ladder), with those bases;
 # the last is below 2^63 and passes all nine bases 2..23
-_LADDER_PSEUDOPRIMES = [
-    3_215_031_751,
-    3_474_749_660_383,
-    341_550_071_728_321,
-    3_825_123_056_546_413_051,
-]
+_LADDER_RUNGS = {
+    3_215_031_751: (2, 3, 5, 7),
+    3_474_749_660_383: (2, 3, 5, 7, 11, 13),
+    341_550_071_728_321: (2, 3, 5, 7, 11, 13, 17),
+    3_825_123_056_546_413_051: (2, 3, 5, 7, 11, 13, 17, 19, 23),
+}
+_LADDER_PSEUDOPRIMES = list(_LADDER_RUNGS)
 _CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
                5394826801, 232250619601, 9746347772161]
 
@@ -114,10 +128,9 @@ def test_certified_prime_batch_hard_cases_match_sympy(monkeypatch):
     assert is_certified_prime(cases) == want  # lanes below 2^63, one at a time above
     assert [is_certified_prime(v) for v in cases] == want
     # each pseudoprime is the bound of a rung and passes every base of it
-    rungs = dict(empirical._MR_LADDER)
-    for v in _LADDER_PSEUDOPRIMES:
+    for v, bases in _LADDER_RUNGS.items():
         assert not sympy.isprime(v)
-        assert all(is_strong_probable_prime(v, a) for a in rungs[v])
+        assert all(is_strong_probable_prime(v, a) for a in bases)
 
 
 # strong pseudoprimes to base 2 below 2^63, which only the Lucas test
