@@ -248,13 +248,17 @@ def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
     """The reproduction verdict: one check per reference limit, then the
     identity 2^H*min(H,[1/delta])*alpha + tail_total == S_lower, and whether
     all of them pass. A report that is not ok fails alpha, varpi and the
-    identity."""
+    identity; one whose h_max truncates the tail also fails tail_first and
+    tail_total, which stop short of it (tail_second ends at split_h - 1 <=
+    h_max and is complete)."""
+    truncated = report.h_max < _last_nonzero_h(report.delta)
     checks = []
     for name, field, op, limit in REFERENCE_LIMITS:
         value, bound = getattr(report, field), from_real(limit)
         checks.append({
             "name": f"{name} {op} {limit:g}",
-            "passed": value <= bound if op == "<=" else value >= bound,
+            "passed": (value <= bound if op == "<=" else value >= bound)
+            and not (truncated and field in ("tail_first", "tail_total")),
             "computed": value.to_sci(8),
         })
     if report.ok:
@@ -262,7 +266,7 @@ def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
         weighted = ln_div(report.alpha_proportion, proportion_weight(report.H, report.delta))
         rel = abs(ln_add(weighted, report.tail_total).to_real() / report.S_lower - 1.0)
         identity_ok, computed = rel <= _IDENTITY_REL_TOL, f"relative error {rel:.3e}"
-    elif report.h_max < _last_nonzero_h(report.delta):
+    elif truncated:
         identity_ok, computed = False, "tail truncated at h_max"
     else:
         identity_ok, computed = False, "margin not positive"

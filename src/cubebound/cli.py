@@ -234,10 +234,11 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
 
     if args.variant == "mertens":
         manifest = _manifest("empirical mertens", {"limit": args.limit}, args.timestamp)
-        deviations, mean = _prime_sums(args.limit)
+        deviations, bounds, mean = _prime_sums(args.limit)
         result = {
             "limit": args.limit,
             "deviations": [[x, dev] for x, dev in deviations],
+            "deviation_bounds": [[x, b] for (x, _), b in zip(deviations, bounds)],
             "max_abs_deviation": max(abs(dev) for _, dev in deviations),
             "mean_nu": mean,
         }

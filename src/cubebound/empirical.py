@@ -957,6 +957,22 @@ def empirical_T(
 # temporaries raised the peak memory
 _PRIME_BLOCK = 1 << 14
 
+# The error bound of each deviation (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 3-4), to first order in u = 2^-53. Both
+# logs, numpy's and libm's, are assumed within _LOG_ULPS ulps, numpy's own
+# tolerance for float64 log (the tests check it on the CPU they run on), so
+# within 2u * _LOG_ULPS relative. A term nu*log(p)/p adds two
+# roundings, the product by nu and the division (p <= 1e8 converts exactly),
+# so it errs by (2 * _LOG_ULPS + 2)u relative; a block's cumulative sum of at
+# most n = 2^14 nonnegative terms errs by gamma_{n-1} ~ (n-1)u times its
+# value; the exact carry rounds the total S once, and so does the
+# subtraction of log x. Per checkpoint:
+#   (n + 2 * _LOG_ULPS + 2)u * S + u * |dev| + 2u * _LOG_ULPS * log x,
+# times 1 + 2^-20, which covers the second-order terms and the roundings of
+# the bound itself.
+_LOG_ULPS = 1
+_U = 2.0**-53
+
 
 def mertens_check(
     x: int, checkpoints: Iterable[int] | None = None
@@ -965,25 +981,26 @@ def mertens_check(
 
     Exact prime enumeration with floating accumulation; checkpoints default
     to the powers of ten up to x, plus x itself. The primes are taken in
-    blocks of 2^14: each term is rounded as in nu(p) * math.log(p) / p and
-    the terms are added strictly in prime order, so the deviations equal
-    those of a loop over one prime at a time, bit for bit.
+    blocks of 2^14, each summed in order by numpy; the block totals are
+    carried exactly (math.fsum), so each deviation is within its stated
+    bound of the true value: below 3.1e-11 up to x = 1e8 (_prime_sums
+    returns the bounds).
     """
     return _prime_sums(x, checkpoints)[0]
 
 
 def mean_nu(limit: int) -> float:
     """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
-    return _prime_sums(limit)[1]
+    return _prime_sums(limit)[2]
 
 
 def _prime_sums(
     x: int, checkpoints: Iterable[int] | None = None
-) -> tuple[list[tuple[int, float]], float]:
-    """(mertens_check(x, checkpoints), mean nu(p) over the primes up to the
-    last checkpoint) from one pass over the primes; the mean is the integer
-    total of nu(p) over the prime count. The primes run up to x, with
-    2 <= x <= 1e8."""
+) -> tuple[list[tuple[int, float]], list[float], float]:
+    """(mertens_check(x, checkpoints), the bound on the absolute error of
+    each deviation, mean nu(p) over the primes up to the last checkpoint)
+    from one pass over the primes; the mean is the integer total of nu(p)
+    over the prime count. The primes run up to x, with 2 <= x <= 1e8."""
     x = _integer("x", x)
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
@@ -1001,25 +1018,22 @@ def _prime_sums(
     # the last prime at or below each checkpoint
     ends = np.searchsorted(primes, np.array(cps, dtype=np.uint64), side="right") - 1
     out: list[tuple[int, float]] = []
-    acc = 0.0
+    bounds: list[float] = []
+    totals: list[float] = []  # the sum of each earlier block
     total = 0
     j = 0
     for start in range(0, primes.size, _PRIME_BLOCK):
         block = primes[start : start + _PRIME_BLOCK]
         nus = _marked_counts(block, marks)
-        # the loop's acc += nu*log(p)/p, in the same roundings and order:
-        # math.log, since numpy's log may differ from libm in the last bit,
-        # and a cumulative sum, which adds strictly from left to right. A
-        # term with nu(p) = 0 is 0.0 whatever the log, so its log is not taken
-        logs = np.zeros(block.size)
-        lit = np.flatnonzero(nus)
-        logs[lit] = np.fromiter(map(math.log, block[lit].tolist()), np.float64, lit.size)
-        sums = nus * logs / block
-        sums[0] += acc
-        np.cumsum(sums, out=sums)
-        acc = float(sums[-1])
+        sums = np.cumsum(nus * np.log(block.astype(np.float64)) / block)
         total += int(nus.sum())
         while j < len(cps) and ends[j] < start + block.size:
-            out.append((cps[j], float(sums[ends[j] - start]) - math.log(cps[j])))
+            s = math.fsum(totals + [float(sums[ends[j] - start])])
+            log_x = math.log(cps[j])
+            dev = s - log_x
+            out.append((cps[j], dev))
+            bounds.append(((_PRIME_BLOCK + 2 * _LOG_ULPS + 2) * _U * s + _U * abs(dev)
+                           + 2 * _LOG_ULPS * _U * log_x) * (1 + 2.0**-20))
             j += 1
-    return out, total / primes.size
+        totals.append(float(sums[-1]))
+    return out, bounds, total / primes.size

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cubebound import AggregateConfig, RangeJob, factor_range, final_constants, mertens_check
+from cubebound import (
+    AggregateConfig, RangeJob, count_cubic_roots, factor_range, final_constants, mertens_check,
+)
 from cubebound.empirical import sieve_primes
 
-from oracles import cubic_roots_enumerate
+from oracles import cubic_roots_enumerate, prime_sum_mpmath
 
 settings.register_profile(
     "suite",
@@ -24,6 +26,15 @@ def default_report():
 @pytest.fixture(scope="session")
 def mertens_1e6():
     return mertens_check(10**6, checkpoints=[10**3, 10**4, 10**5, 10**6])
+
+
+@pytest.fixture(scope="session")
+def mertens_oracle():
+    """The prime-sum deviations in 30-digit mpmath at every checkpoint the
+    tests use, up to 1e6 (821,641 is the last prime of the 4th block)."""
+    return prime_sum_mpmath(
+        [2, 3, 10, 100, 1000, 10**4, 10**5, 821_640, 821_641, 821_647, 10**6], count_cubic_roots
+    )
 
 
 @pytest.fixture(scope="session")

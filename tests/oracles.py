@@ -4,10 +4,10 @@ These deliberately avoid the production code paths: the exponential integral
 comes from the convergent series Ei(x) = gamma + ln x + sum x^n/(n*n!), a
 reproduction's tails and proportion from mpmath at its reported tilts, the
 factorisations and primes from plain trial division, the prime sum from a
-loop over one prime at a time, the congruence-root counts from direct residue
-enumeration, the exact region integrals behind the bound coefficients
-from Monte Carlo sampling, and the root-table cache file from a struct loop
-over one prime at a time.
+30-digit mpmath loop over one prime at a time, the congruence-root counts
+from direct residue enumeration, the exact region integrals behind the bound
+coefficients from Monte Carlo sampling, and the root-table cache file from a
+struct loop over one prime at a time.
 """
 
 import math
@@ -125,23 +125,25 @@ def primes_by_trial_division(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_factor(n) == {n: 1}]
 
 
-def prime_sum_loop(x: int, checkpoints: list[int], nu) -> list[tuple[int, float]]:
-    """sum_{p<=c} nu(p) log(p)/p - log(c) at each sorted checkpoint c <= x,
-    accumulated one prime at a time over a bytearray sieve."""
+def prime_sum_mpmath(checkpoints: list[int], nu) -> dict[int, mpmath.mpf]:
+    """sum_{p<=c} nu(p) log(p)/p - log(c) at each checkpoint c, in 30-digit
+    mpmath arithmetic, one prime at a time over a bytearray sieve."""
+    x = max(checkpoints)
     flags = bytearray([1]) * (x + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(x) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, x + 1, p)))
-    out = []
-    acc = 0.0
-    n = 1
-    for c in checkpoints:
-        while n < c:
-            n += 1
-            if flags[n]:
-                acc += nu(n) * math.log(n) / n
-        out.append((c, acc - math.log(c)))
+    out = {}
+    with mpmath.workdps(30):
+        acc = mpmath.mpf(0)
+        n = 1
+        for c in sorted(checkpoints):
+            while n < c:
+                n += 1
+                if flags[n] and nu(n):
+                    acc += nu(n) * mpmath.log(n) / n
+            out[c] = acc - mpmath.log(c)
     return out
 
 

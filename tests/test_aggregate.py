@@ -228,7 +228,8 @@ def test_truncated_tail_is_a_failure_not_an_error():
         assert rep.alpha_proportion == ZERO and rep.varpi == ZERO
     checks, overall = reproduction_checks(dict(results)[132])
     failed = {c["name"]: c["computed"] for c in checks if not c["passed"]}
-    assert list(failed) == CHECK_NAMES[3:]
+    # tail_first and tail_total stop at h_max; tail_second is complete
+    assert list(failed) == [CHECK_NAMES[0]] + CHECK_NAMES[2:]
     assert failed[CHECK_NAMES[5]] == "tail truncated at h_max"
     assert overall is False
 

@@ -246,6 +246,9 @@ def test_empirical_mertens_cli(capsys):
     assert [x for x, _ in result["deviations"]] == [10, 100, 1000]
     # one pass gives what the two library calls give
     assert result["deviations"] == [list(row) for row in mertens_check(1000)]
+    # each deviation's error bound sits next to it
+    assert [x for x, _ in result["deviation_bounds"]] == [10, 100, 1000]
+    assert all(0 < b < 1e-10 for _, b in result["deviation_bounds"])
     assert result["mean_nu"] == mean_nu(1000)
 
 
@@ -296,6 +299,12 @@ def test_reproduce_with_a_truncated_tail_fails(capsys, h_max):
         f"h_max={h_max} truncates the tail: the closed-form terms are nonzero up to h=962"
     )
     assert f"failure: {failure}" in err
+    # the tails that reach past h_max fail; tail_second ends at split_h - 1
+    # and is complete
+    verdicts = {line.split(" ", 2)[1]: line.split(":")[0]
+                for line in err.splitlines() if line.startswith(("PASS:", "FAIL:"))}
+    assert verdicts["tail_first"] == verdicts["tail_total"] == "FAIL"
+    assert verdicts["tail_second"] == "PASS"
 
 
 def test_reproduce_display_is_on_the_adverse_side_of_each_row(capsys, default_report):

@@ -2,6 +2,7 @@ import math
 import os
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -31,7 +32,6 @@ from oracles import (
     cubic_roots_enumerate,
     is_strong_probable_prime,
     nu_enumerate,
-    prime_sum_loop,
     primes_by_trial_division,
     trial_factor,
     write_root_cache,
@@ -921,28 +921,85 @@ def test_mertens_single_prime():
     assert dev == pytest.approx(math.log(2) / 2 - math.log(2), abs=1e-12)
 
 
+def _off_by(rows, bounds, want):
+    """The checkpoints whose deviation misses want[checkpoint] by more than
+    its stated bound."""
+    return [x for (x, dev), b in zip(rows, bounds) if abs(mpmath.mpf(dev) - want[x]) > b]
+
+
 @pytest.mark.parametrize("x", [821_640, 821_641, 821_647])
-def test_mertens_matches_the_prime_loop_across_a_block(x):
+def test_mertens_matches_the_prime_loop_across_a_block(x, mertens_oracle):
     # 821,641 is the 65,536th prime, the last of a block
     assert 65_536 % empirical._PRIME_BLOCK == 0
     assert sieve_primes(x)[65_535:65_536] == ([821_641] if x >= 821_641 else [])
     checkpoints = [2, 3, 10, 1000, 821_640, x]
     for cps in (None, checkpoints):
-        want = prime_sum_loop(x, sorted(set(cps or [10, 100, 1000, 10**4, 10**5, x])),
-                              count_cubic_roots)
-        assert mertens_check(x, cps) == want
+        rows, bounds, _ = empirical._prime_sums(x, cps)
+        assert rows == mertens_check(x, cps)
+        assert [c for c, _ in rows] == sorted(set(cps or [10, 100, 1000, 10**4, 10**5, x]))
+        assert _off_by(rows, bounds, mertens_oracle) == []
 
 
-def test_mertens_pinned_deviations_1e7():
-    assert mertens_check(10**7) == [
-        (10, -1.26791982400455),
-        (100, -1.858458852049882),
-        (1000, -1.8909159317182729),
-        (10000, -1.9326471175760753),
-        (100000, -1.9619267509896954),
-        (1000000, -1.9603574456234423),
-        (10000000, -1.961435780812483),
-    ]
+PINNED_MERTENS_1E7 = [
+    (10, -1.26791982400455),
+    (100, -1.858458852049882),
+    (1000, -1.8909159317182729),
+    (10000, -1.9326471175760753),
+    (100000, -1.9619267509896954),
+    (1000000, -1.9603574456234423),
+    (10000000, -1.961435780812483),
+]
+
+
+def test_mertens_pinned_deviations_1e7(mertens_oracle):
+    # each pin lies within the stated bound of the deviation, and up to 1e6
+    # within it of the 30-digit oracle too
+    rows, bounds, _ = empirical._prime_sums(10**7)
+    assert [x for x, _ in rows] == [x for x, _ in PINNED_MERTENS_1E7]
+    assert 0 < min(bounds) and max(bounds) <= 1e-10
+    assert _off_by(PINNED_MERTENS_1E7, bounds, {x: mpmath.mpf(dev) for x, dev in rows}) == []
+    assert _off_by(PINNED_MERTENS_1E7[:-1], bounds, mertens_oracle) == []
+
+
+def test_mertens_oracle_check_fails_a_deviation_moved_by_twice_its_bound(mertens_oracle):
+    rows, bounds, _ = empirical._prime_sums(10**6, [10, 10**6])
+    assert _off_by(rows, bounds, mertens_oracle) == []
+    moved = [(x, dev + 2 * b) for (x, dev), b in zip(rows, bounds)]
+    assert _off_by(moved, bounds, mertens_oracle) == [10, 10**6]
+
+
+def _segmented_primes(limit: int, size: int = 1 << 22):
+    """The primes up to limit as int64 arrays, one sieve segment at a time."""
+    base = sieve_primes(math.isqrt(limit))
+    for lo in range(0, limit + 1, size):
+        hi = min(lo + size, limit + 1)
+        flags = np.ones(hi - lo, dtype=bool)
+        flags[: max(0, 2 - lo)] = False
+        for p in base:
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        yield lo + np.flatnonzero(flags)
+
+
+def test_numpy_log_is_within_the_assumed_ulps():
+    """The prime sums' bound assumes numpy's and libm's float64 log within
+    _LOG_ULPS ulps, numpy's own tolerance for float64 log (the ulperrortol
+    column of numpy/_core/tests/data/umath-validation-set-log.csv is 1 on
+    every float64 row). numpy picks its SIMD loop for the CPU it runs on, so
+    this checks the loop in use: every prime up to 1e8 against math.log, and
+    a sample against mpmath at 120 bits."""
+    ulps = empirical._LOG_ULPS
+    sample = [10**j for j in range(1, 9)]  # the default checkpoints
+    for primes in _segmented_primes(10**8):
+        logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+        assert np.all(np.abs(np.log(primes.astype(np.float64)) - logs) <= ulps * np.spacing(logs))
+        if primes[0] == 2:
+            sample += primes[primes <= 20_000].tolist()
+    sample += primes[-1000:].tolist()
+    with mpmath.workprec(120):
+        for v in sample:
+            exact = mpmath.log(v)
+            for got in (float(np.log(np.float64(v))), math.log(v)):
+                assert abs(got - exact) <= ulps * math.ulp(float(exact)), v
 
 
 def test_mean_nu_matches_the_prime_loop():
@@ -950,7 +1007,8 @@ def test_mean_nu_matches_the_prime_loop():
         primes = sieve_primes(limit)
         assert mean_nu(limit) == sum(map(count_cubic_roots, primes)) / len(primes)
     # the CLI's one pass: the mean runs over the primes to the last checkpoint
-    assert empirical._prime_sums(10**5, [10, 1000]) == (mertens_check(10**5, [10, 1000]), mean_nu(1000))
+    rows, _, mean = empirical._prime_sums(10**5, [10, 1000])
+    assert (rows, mean) == (mertens_check(10**5, [10, 1000]), mean_nu(1000))
 
 
 def test_mertens_deviations_bounded(mertens_1e6):
