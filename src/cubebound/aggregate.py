@@ -176,19 +176,13 @@ def _assemble_report(
     tail_total = ln_add(tail_first, tail_second)
     s_lower = from_real(cfg.S_lower)
     margin = ln_sub(s_lower, tail_total)
-
-    common = dict(
-        delta=cfg.delta, H=cfg.H, split_h=cfg.split_h, h_max=cfg.h_max,
-        K_offset=cfg.K_offset, S_lower=cfg.S_lower,
-        tail_first=tail_first, tail_second=tail_second, tail_total=tail_total,
-        margin=margin, per_h_terms=tuple(second_terms) + tuple(first_terms),
-    )
-
     numeric_floor = (
         LogNumber(1, s_lower.log_mag + math.log(_MARGIN_REL_FLOOR))
         if s_lower.sign > 0 else ZERO
     )
     last_h = _last_nonzero_h(cfg.delta)
+    alpha = varpi = count = ZERO
+    failure = None
     if cfg.h_max < last_h:
         failure = (f"h_max={cfg.h_max} truncates the tail: the closed-form terms "
                    f"are nonzero up to h={last_h}")
@@ -199,15 +193,13 @@ def _assemble_report(
         alpha = ln_mul(proportion_weight(cfg.H, cfg.delta), margin)
         varpi = ln_mul(alpha, from_fraction(cfg.delta / 2))
         count = ln_mul(from_fraction(cfg.delta), ln_pow_int(alpha, 2))
-        return AggregateReport(
-            ok=True, failure=None,
-            alpha_proportion=alpha, varpi=varpi, count_proportion=count,
-            **common,
-        )
     return AggregateReport(
-        ok=False, failure=failure,
-        alpha_proportion=ZERO, varpi=ZERO, count_proportion=ZERO,
-        **common,
+        ok=failure is None, failure=failure,
+        delta=cfg.delta, H=cfg.H, split_h=cfg.split_h, h_max=cfg.h_max,
+        K_offset=cfg.K_offset, S_lower=cfg.S_lower,
+        tail_first=tail_first, tail_second=tail_second, tail_total=tail_total,
+        margin=margin, per_h_terms=tuple(second_terms) + tuple(first_terms),
+        alpha_proportion=alpha, varpi=varpi, count_proportion=count,
     )
 
 

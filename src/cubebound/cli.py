@@ -114,7 +114,6 @@ def build_parser() -> _Parser:
     cnt.add_argument("--x-max", type=int, required=True)
     cnt.add_argument("--threshold", type=int, required=True)
     cnt.add_argument("--h", type=int, required=True)
-    cnt.add_argument("--segment-size", type=int, default=1 << 16)
     cnt.add_argument("--cache", help="binary (prime, root) table cache path")
     mer = esub.add_parser("mertens", parents=[common])
     mer.add_argument("--limit", type=int, required=True)
@@ -246,12 +245,9 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
 
     params = {
         "x_min": args.x_min, "x_max": args.x_max, "threshold": args.threshold,
-        "h": args.h, "segment_size": args.segment_size, "cache": args.cache,
+        "h": args.h, "cache": args.cache,
     }
-    job = RangeJob(
-        x_min=args.x_min, x_max=args.x_max, threshold=args.threshold,
-        h=args.h, segment_size=args.segment_size,
-    )
+    job = RangeJob(x_min=args.x_min, x_max=args.x_max, threshold=args.threshold, h=args.h)
     table = None
     if args.cache:
         if os.path.exists(args.cache):

@@ -32,8 +32,9 @@ gives the same verdicts.
 
 The prime layer runs on numpy arrays as well: an odd-only sieve, nu(p) read
 from a table of the values x^2 + 27y^2 up to the largest prime (at most
-1e8), and the prime sums over blocks of 2^14 primes, with results
-bit-identical to a loop over one prime at a time.
+1e8), and the prime sums over blocks of 2^14 primes: numpy takes each
+block's logs and sums, the block totals are carried exactly, and each
+deviation comes with a proved bound on its error.
 The root table is two aligned uint64 arrays, prime and root, from end to
 end: its cube roots are built on lanes, the cache holds only the roots, and
 the sieve's next-hit array is computed from them.
@@ -46,7 +47,7 @@ import os
 import struct
 from dataclasses import dataclass, fields
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,11 +67,6 @@ def _integer(name: str, value) -> int:
     if not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def sieve_primes(limit: int) -> list[int]:
-    """All primes up to and including limit."""
-    return _prime_array(_integer("limit", limit)).tolist()
 
 
 def _prime_array(limit: int) -> np.ndarray:
@@ -684,7 +680,6 @@ class RangeJob:
     x_max: int
     threshold: int
     h: int
-    segment_size: int = 1 << 16
 
     def __post_init__(self) -> None:
         for f in fields(self):  # numpy integers become ints, anything else fails
@@ -697,8 +692,6 @@ class RangeJob:
             raise DomainError(f"need 2 <= threshold <= {MAX_RANGE_TOP + 1}, got {self.threshold}")
         if self.h < 0:
             raise DomainError(f"h must be non-negative, got {self.h}")
-        if self.segment_size < 1:
-            raise DomainError(f"segment_size must be positive, got {self.segment_size}")
 
     @property
     def count_limit(self) -> int:
@@ -808,6 +801,9 @@ def _cofactor_primes(
     return out
 
 
+_SEGMENT = 1 << 16  # values per sieve segment
+
+
 def _sieved_segments(
     job: RangeJob, table: RootTable, progress: Callable[[int, int], None] | None
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -836,8 +832,8 @@ def _sieved_segments(
     p = table.p.astype(np.int64)
     hits = base + (table.r.astype(np.int64) - base) % p
     inverses = _inverse_mod_2_64(table.p >> (table.p == 2))  # m starts odd: 1 for p = 2
-    for lo in range(base, job.x_max + 1, job.segment_size):
-        hi = min(lo + job.segment_size - 1, job.x_max)
+    for lo in range(base, job.x_max + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT - 1, job.x_max)
         now = np.flatnonzero(hits <= hi)
         first, step = hits[now], p[now]
         count = (hi - first) // step + 1  # hits of each root in the segment
@@ -887,11 +883,7 @@ def _covering_table(job: RangeJob, table: RootTable | None, limit: int) -> RootT
     return table if table is not None and table.limit >= limit else build_root_table(limit)
 
 
-def factor_range(
-    job: RangeJob,
-    table: RootTable | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> Iterator[FactorProfile]:
+def factor_range(job: RangeJob, table: RootTable | None = None) -> Iterator[FactorProfile]:
     """Yield the FactorProfile of every n in (x_min, x_max], in n order.
 
     Every profile is verified to multiply back to n^3 + 2 exactly before it
@@ -899,7 +891,7 @@ def factor_range(
     FactorizationError rather than passing silently.
     """
     table = _covering_table(job, table, job.x_max)
-    for lo, hi, m, k, at, by in _sieved_segments(job, table, progress):
+    for lo, hi, m, k, at, by in _sieved_segments(job, table, None):
         rest = np.flatnonzero((m > 1) | (k > 0))
         pairs = _cofactor_primes(_residual_ints(m, k, rest), (lo + rest).tolist(), table.limit)
         found: list[dict[int, int]] = [{} for _ in range(m.size)]
@@ -974,47 +966,48 @@ _LOG_ULPS = 1
 _U = 2.0**-53
 
 
-def mertens_check(
-    x: int, checkpoints: Iterable[int] | None = None
-) -> list[tuple[int, float]]:
-    """Deviations sum_{p<=x_i} nu(p) log(p)/p - log(x_i) at each checkpoint.
+def mertens_check(x: int) -> list[tuple[int, float]]:
+    """Deviations sum_{p<=c} nu(p) log(p)/p - log(c) at each checkpoint c:
+    the powers of ten below x, then x itself, for 2 <= x <= 1e8.
 
-    Exact prime enumeration with floating accumulation; checkpoints default
-    to the powers of ten up to x, plus x itself. The primes are taken in
-    blocks of 2^14, each summed in order by numpy; the block totals are
-    carried exactly (math.fsum), so each deviation is within its stated
+    Exact prime enumeration with floating accumulation. The primes are
+    taken in blocks of 2^14, each summed in order by numpy; the block totals
+    are carried exactly (math.fsum), so each deviation is within its stated
     bound of the true value: below 3.1e-11 up to x = 1e8 (_prime_sums
     returns the bounds).
     """
-    return _prime_sums(x, checkpoints)[0]
+    return _prime_sums(x)[0]
 
 
 def mean_nu(limit: int) -> float:
-    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
-    return _prime_sums(limit)[2]
+    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8: the
+    integer total of nu(p) over the prime count, counted in the prime sums'
+    blocks (a whole array of counts at 1e7 runs out of cache)."""
+    limit = _prime_sum_limit(limit)
+    primes = _prime_array(limit)
+    marks = _cube_marks(limit)
+    total = sum(int(_marked_counts(primes[start : start + _PRIME_BLOCK], marks).sum())
+                for start in range(0, primes.size, _PRIME_BLOCK))
+    return total / primes.size
 
 
-def _prime_sums(
-    x: int, checkpoints: Iterable[int] | None = None
-) -> tuple[list[tuple[int, float]], list[float], float]:
-    """(mertens_check(x, checkpoints), the bound on the absolute error of
-    each deviation, mean nu(p) over the primes up to the last checkpoint)
-    from one pass over the primes; the mean is the integer total of nu(p)
-    over the prime count. The primes run up to x, with 2 <= x <= 1e8."""
+def _prime_sum_limit(x) -> int:
+    """x as an int if it is an integer in [2, 1e8], else DomainError."""
     x = _integer("x", x)
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
     if x > _PRIME_SUM_TOP:
         raise DomainError(f"x is capped at 1e8, got {x}")
-    if checkpoints is None:
-        cps = [10**j for j in range(1, 9) if 10**j < x]
-        cps.append(x)
-    else:
-        cps = sorted(set(_integer("checkpoint", c) for c in checkpoints))
-        if not cps or cps[0] < 2 or cps[-1] > x:
-            raise DomainError("checkpoints must lie in [2, x]")
-    primes = _prime_array(cps[-1])
-    marks = _cube_marks(cps[-1])  # after the sieve, whose peak it would raise
+    return x
+
+
+def _prime_sums(x: int) -> tuple[list[tuple[int, float]], list[float], float]:
+    """(mertens_check(x), the bound on the absolute error of each deviation,
+    mean_nu(x)) from one pass over the primes up to x."""
+    x = _prime_sum_limit(x)
+    cps = [10**j for j in range(1, 9) if 10**j < x] + [x]
+    primes = _prime_array(x)
+    marks = _cube_marks(x)  # after the sieve, whose peak it would raise
     # the last prime at or below each checkpoint
     ends = np.searchsorted(primes, np.array(cps, dtype=np.uint64), side="right") - 1
     out: list[tuple[int, float]] = []

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cubebound import empirical
 from cubebound import (
     AggregateConfig, RangeJob, count_cubic_roots, factor_range, final_constants, mertens_check,
 )
-from cubebound.empirical import sieve_primes
 
 from oracles import cubic_roots_enumerate, prime_sum_mpmath
 
@@ -25,7 +25,7 @@ def default_report():
 
 @pytest.fixture(scope="session")
 def mertens_1e6():
-    return mertens_check(10**6, checkpoints=[10**3, 10**4, 10**5, 10**6])
+    return mertens_check(10**6)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def mertens_oracle():
     """The prime-sum deviations in 30-digit mpmath at every checkpoint the
     tests use, up to 1e6 (821,641 is the last prime of the 4th block)."""
     return prime_sum_mpmath(
-        [2, 3, 10, 100, 1000, 10**4, 10**5, 821_640, 821_641, 821_647, 10**6], count_cubic_roots
+        [10, 100, 1000, 10**4, 10**5, 821_640, 821_641, 821_647, 10**6], count_cubic_roots
     )
 
 
@@ -41,7 +41,7 @@ def mertens_oracle():
 def roots_enum_1e5():
     """Enumerated roots of n^3+2 == 0 (mod p) for every prime p <= 1e5
     (independent oracle; nu(p) is the length of each entry)."""
-    return {p: cubic_roots_enumerate(p) for p in sieve_primes(10**5)}
+    return {p: cubic_roots_enumerate(p) for p in empirical._prime_array(10**5).tolist()}
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,7 @@ from cubebound import (
     second_bound_term,
     weighted_tail,
 )
+from cubebound import empirical
 from cubebound.empirical import count_cubic_roots
 
 from oracles import exp_integral_oracle, region_integral_mc, trial_factor
@@ -217,7 +218,7 @@ def test_criterion_8_prime_sum_envelope(mertens_1e6):
 # 9: the module invariants, re-exercised compactly
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_property_suite(default_report, profiles_1e5):
+def test_criterion_9_property_suite(default_report, profiles_1e5, monkeypatch):
     parts = []
     rng = np.random.default_rng(99)
 
@@ -313,10 +314,11 @@ def test_criterion_9_property_suite(default_report, profiles_1e5):
     parts.append(("1e5 profiles stream in n order",
                   [p.n for p in profiles_1e5] == list(range(1, 10**5 + 1))))
     table = build_root_table(1500)
-    j1 = RangeJob(x_min=700, x_max=1500, threshold=2, h=0, segment_size=113)
-    j2 = RangeJob(x_min=700, x_max=1500, threshold=2, h=0, segment_size=1 << 16)
-    parts.append(("segment independence",
-                  list(factor_range(j1, table)) == list(factor_range(j2, table))))
+    runs = []
+    for seg in (113, 1 << 16):
+        monkeypatch.setattr(empirical, "_SEGMENT", seg)
+        runs.append(list(factor_range(RangeJob(x_min=700, x_max=1500, threshold=2, h=0), table)))
+    parts.append(("segment independence", runs[0] == runs[1]))
     rnd = random.Random(31415)
     ok = True
     from cubebound import nu

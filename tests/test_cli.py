@@ -14,7 +14,6 @@ from cubebound import (
 from cubebound.aggregate import REFERENCE_LIMITS
 from cubebound.cli import main
 from cubebound import empirical
-from cubebound.empirical import sieve_primes
 
 from oracles import cubic_roots_enumerate, trial_factor, write_root_cache
 
@@ -101,6 +100,10 @@ def test_usage_errors_exit_1(capsys):
     assert main(["reproduce", "--rel-tol", "1e-12"]) == 1
     capsys.readouterr()
     assert main(["bound", "second", "--h", "40", "--delta", "1/321", "--rel-tol", "1e-12"]) == 1
+    capsys.readouterr()
+    # the sieve's segment width is a constant
+    assert main(["empirical", "count", "--x-min", "10", "--x-max", "20", "--threshold", "2",
+                 "--h", "3", "--segment-size", "512"]) == 1
     capsys.readouterr()
 
 
@@ -192,7 +195,8 @@ def test_empirical_count_rebuilds_a_version_1_cache(capsys, tmp_path):
         "--threshold", "2", "--h", "3", "--cache", str(cache), "--timestamp", "T",
     ]
     _, out, _ = run_cli(capsys, *args)
-    write_root_cache(cache, 20, {p: cubic_roots_enumerate(p) for p in sieve_primes(20)}, 1)
+    roots = {p: cubic_roots_enumerate(p) for p in empirical._prime_array(20).tolist()}
+    write_root_cache(cache, 20, roots, 1)
     code, out2, err = run_cli(capsys, *args)
     assert code == 0
     assert out2 == out
@@ -376,7 +380,7 @@ assert cubebound.factor_range is cubebound.empirical.factor_range
 assert "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     argv = ["empirical", "count", "--x-min", "1000", "--x-max", "3000", "--threshold", "17",
-            "--h", "2", "--segment-size", "512", "--timestamp", "T"]
+            "--h", "2", "--timestamp", "T"]
     assert cubebound.cli.main(argv) == 0
 assert "concurrent.futures.process" not in sys.modules
 names = {}

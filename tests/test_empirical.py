@@ -26,7 +26,7 @@ from cubebound import (
     save_root_table,
 )
 from cubebound import empirical
-from cubebound.empirical import MAX_RANGE_TOP, is_certified_prime, sieve_primes
+from cubebound.empirical import MAX_RANGE_TOP, is_certified_prime
 
 from oracles import (
     cubic_roots_enumerate,
@@ -43,19 +43,19 @@ from oracles import (
 # ---------------------------------------------------------------------------
 
 def test_sieve_primes():
-    assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert sieve_primes(1) == []
+    assert empirical._prime_array(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert empirical._prime_array(1).tolist() == []
     want = primes_by_trial_division(10_201)
     for limit in range(201):
-        assert sieve_primes(limit) == [p for p in want if p <= limit], limit
+        assert empirical._prime_array(limit).tolist() == [p for p in want if p <= limit], limit
     # a prime's square is the first odd multiple it strikes
     for p in want[:26]:
         for limit in (p * p - 1, p * p, p * p + 1):
-            assert sieve_primes(limit) == [q for q in want if q <= limit], limit
+            assert empirical._prime_array(limit).tolist() == [q for q in want if q <= limit], limit
 
 
 def test_certified_prime_against_sieve():
-    flags = set(sieve_primes(2000))
+    flags = set(empirical._prime_array(2000).tolist())
     for n in range(2000):
         assert is_certified_prime(n) == (n in flags)
 
@@ -187,7 +187,8 @@ def test_lockstep_splits_divide_and_are_proper():
 
 def test_lockstep_whole_modulus_gcd_goes_scalar():
     # small semiprimes: both factors' cycles often close in the same gcd block
-    values = sorted({p * q for p in sieve_primes(200)[1:] for q in sieve_primes(200)[1:] if p < q})
+    odd = empirical._prime_array(200).tolist()[1:]
+    values = sorted({p * q for p in odd for q in odd if p < q})
     found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
     whole = [v for lane, v in enumerate(values) if not found[lane] and lane not in resume]
     assert whole
@@ -196,7 +197,7 @@ def test_lockstep_whole_modulus_gcd_goes_scalar():
 
 
 def test_pollard_brent_checks_every_divisor(monkeypatch):
-    primes = sieve_primes(5000)[-300:]
+    primes = empirical._prime_array(5000).tolist()[-300:]
     values = [p * q for p, q in zip(primes[::2], primes[1::2])]
     monkeypatch.setattr(empirical, "_brent_lanes", lambda m: ([3] * m.size, {}))
     with pytest.raises(FactorizationError):
@@ -271,8 +272,6 @@ def test_nu_validation():
     for bad in (2.5, 31.0, "31", b"31", [7.9] * 400, [9.5], [31, np.float64(31.0)]):
         with pytest.raises(DomainError, match="integer"):
             is_certified_prime(bad)
-    with pytest.raises(DomainError, match="integer"):
-        sieve_primes(100.0)
 
 
 def test_nu_takes_numpy_integers_as_ints():
@@ -288,7 +287,6 @@ def test_nu_takes_numpy_integers_as_ints():
         # in a sequence: one at a time, and on lanes once there are enough
         assert is_certified_prime([t(v) for v in values]) == want, t
         assert is_certified_prime([t(v) for v in values] * 100) == want * 100, t
-        assert sieve_primes(t(100)) == sieve_primes(100)
     big = [2**64 - 59, 2**64 - 57]  # above 2^63, where values stay on Python ints
     assert is_certified_prime([np.uint64(v) for v in big]) == [sympy.isprime(v) for v in big]
 
@@ -329,7 +327,7 @@ def test_cube_roots_match_enumeration_everywhere(roots_enum_1e5):
 def test_lane_cubic_root_counts_match_the_scalar_character():
     # Gauss's criterion on arrays against the scalar Euler criterion
     # (p-2)^((p-1)/3) on every prime to 2e6
-    primes = sieve_primes(2 * 10**6)
+    primes = empirical._prime_array(2 * 10**6).tolist()
     lanes = count_cubic_roots(np.array(primes, dtype=np.uint64)).tolist()
     assert lanes == [count_cubic_roots(p) for p in primes]
 
@@ -376,7 +374,8 @@ def test_root_table_matches_enumeration_for_small_limits():
     for limit in range(301):
         table = build_root_table(limit)
         assert table.limit == limit
-        want = [(p, r) for p in sieve_primes(limit) for r in cubic_roots_enumerate(p)]
+        primes = empirical._prime_array(limit).tolist()
+        want = [(p, r) for p in primes for r in cubic_roots_enumerate(p)]
         assert _flat(table) == want, limit
 
 
@@ -600,20 +599,21 @@ def test_count_never_factors(exact_factors, window_across_2_63, monkeypatch):
             assert got == want, (x_min, threshold, h)
 
 
-def test_segment_independence():
+def test_segment_independence(monkeypatch):
     # sizes 1 and 2 put a root's one hit in a segment, or on its last value
     table = build_root_table(2000)
     sizes = (1, 2, 97, 256, 1001, 1 << 16)
     runs = []
     for seg in sizes:
-        job = RangeJob(x_min=1000, x_max=2000, threshold=2, h=0, segment_size=seg)
-        runs.append(list(factor_range(job, table)))
+        monkeypatch.setattr(empirical, "_SEGMENT", seg)
+        runs.append(list(factor_range(RangeJob(x_min=1000, x_max=2000, threshold=2, h=0), table)))
     assert all(run == runs[0] for run in runs)
     for threshold in (2, 32, table.limit + 2):  # the last needs a larger table
         for h in range(6):
             want = sum(1 for prof in runs[0] if prof.omega_above(threshold) >= h)
             for seg in sizes:
-                job = RangeJob(1000, 2000, threshold=threshold, h=h, segment_size=seg)
+                monkeypatch.setattr(empirical, "_SEGMENT", seg)
+                job = RangeJob(1000, 2000, threshold=threshold, h=h)
                 assert empirical_T(job, table) == want, (threshold, h, seg)
 
 
@@ -665,9 +665,10 @@ def _sieved(job, table):
 
 
 @pytest.mark.parametrize("segment_size", [1, 2, 97, 1 << 16])
-def test_sieve_matches_sympy_at_every_segment_size(sieve_windows, segment_size):
+def test_sieve_matches_sympy_at_every_segment_size(sieve_windows, segment_size, monkeypatch):
+    monkeypatch.setattr(empirical, "_SEGMENT", segment_size)
     for (x_min, x_max), (table, factors) in sieve_windows.items():
-        job = RangeJob(x_min, x_max, threshold=2, h=0, segment_size=segment_size)
+        job = RangeJob(x_min, x_max, threshold=2, h=0)
         assert _sieved(job, table) == {
             n: ({p: e for p, e in f.items() if p <= table.limit},
                 math.prod(p**e for p, e in f.items() if p > table.limit))
@@ -685,7 +686,7 @@ def test_sieve_matches_sympy_at_every_segment_size(sieve_windows, segment_size):
             want = sum(
                 1 for f in factors.values() if sum(e for p, e in f.items() if p >= threshold) >= h
             )
-            job = RangeJob(x_min, x_max, threshold, h, segment_size)
+            job = RangeJob(x_min, x_max, threshold, h)
             assert empirical_T(job, table) == want, (x_min, threshold, h)
 
 
@@ -748,20 +749,19 @@ def test_range_job_validation():
     assert RangeJob(0, 10, threshold=MAX_RANGE_TOP + 1, h=0).count_limit == MAX_RANGE_TOP
     with pytest.raises(DomainError):
         RangeJob(x_min=0, x_max=10, threshold=2, h=-1)
-    for bad in ({"x_max": 100.0}, {"h": 3.0}, {"segment_size": 1.5}):
+    for bad in ({"x_max": 100.0}, {"h": 3.0}):
         with pytest.raises(DomainError, match="integer"):
             RangeJob(**{"x_min": 0, "x_max": 100, "threshold": 2, "h": 3, **bad})
     job = RangeJob(np.int64(0), np.uint64(100), np.int32(2), np.int64(3))
     assert job == RangeJob(0, 100, 2, 3) and type(job.x_max) is int
 
 
-def test_progress_callback():
-    job = RangeJob(x_min=0, x_max=100, threshold=2, h=0, segment_size=30)
-    for run in (lambda cb: list(factor_range(job, progress=cb)),
-                lambda cb: empirical_T(job, progress=cb)):
-        seen = []
-        run(lambda lo, hi: seen.append((lo, hi)))
-        assert seen == [(1, 30), (31, 60), (61, 90), (91, 100)]
+def test_progress_callback(monkeypatch):
+    monkeypatch.setattr(empirical, "_SEGMENT", 30)
+    seen = []
+    empirical_T(RangeJob(x_min=0, x_max=100, threshold=2, h=0),
+                progress=lambda lo, hi: seen.append((lo, hi)))
+    assert seen == [(1, 30), (31, 60), (61, 90), (91, 100)]
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +785,7 @@ def test_root_table_cache_roundtrip(tmp_path):
 
 
 def _enumerated_roots(limit):
-    return {p: cubic_roots_enumerate(p) for p in sieve_primes(limit)}
+    return {p: cubic_roots_enumerate(p) for p in empirical._prime_array(limit).tolist()}
 
 
 def test_saved_cache_matches_the_reference_writer(tmp_path, roots_enum_1e5):
@@ -793,7 +793,7 @@ def test_saved_cache_matches_the_reference_writer(tmp_path, roots_enum_1e5):
     for limit in [*range(301), 10**4, 10**5 + 3]:
         roots = {
             p: roots_enum_1e5[p] if p in roots_enum_1e5 else cubic_roots_enumerate(p)
-            for p in sieve_primes(limit)
+            for p in empirical._prime_array(limit).tolist()
         }
         write_root_cache(want, limit, roots)
         table = build_root_table(limit)
@@ -916,7 +916,7 @@ def test_failed_save_keeps_the_old_cache(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_mertens_single_prime():
-    [(x, dev)] = mertens_check(2, checkpoints=[2])
+    [(x, dev)] = mertens_check(2)
     assert x == 2
     assert dev == pytest.approx(math.log(2) / 2 - math.log(2), abs=1e-12)
 
@@ -931,13 +931,11 @@ def _off_by(rows, bounds, want):
 def test_mertens_matches_the_prime_loop_across_a_block(x, mertens_oracle):
     # 821,641 is the 65,536th prime, the last of a block
     assert 65_536 % empirical._PRIME_BLOCK == 0
-    assert sieve_primes(x)[65_535:65_536] == ([821_641] if x >= 821_641 else [])
-    checkpoints = [2, 3, 10, 1000, 821_640, x]
-    for cps in (None, checkpoints):
-        rows, bounds, _ = empirical._prime_sums(x, cps)
-        assert rows == mertens_check(x, cps)
-        assert [c for c, _ in rows] == sorted(set(cps or [10, 100, 1000, 10**4, 10**5, x]))
-        assert _off_by(rows, bounds, mertens_oracle) == []
+    assert empirical._prime_array(x).tolist()[65_535:65_536] == ([821_641] if x >= 821_641 else [])
+    rows, bounds, _ = empirical._prime_sums(x)
+    assert rows == mertens_check(x)
+    assert [c for c, _ in rows] == [10, 100, 1000, 10**4, 10**5, x]
+    assert _off_by(rows, bounds, mertens_oracle) == []
 
 
 PINNED_MERTENS_1E7 = [
@@ -962,15 +960,15 @@ def test_mertens_pinned_deviations_1e7(mertens_oracle):
 
 
 def test_mertens_oracle_check_fails_a_deviation_moved_by_twice_its_bound(mertens_oracle):
-    rows, bounds, _ = empirical._prime_sums(10**6, [10, 10**6])
+    rows, bounds, _ = empirical._prime_sums(10**6)
     assert _off_by(rows, bounds, mertens_oracle) == []
     moved = [(x, dev + 2 * b) for (x, dev), b in zip(rows, bounds)]
-    assert _off_by(moved, bounds, mertens_oracle) == [10, 10**6]
+    assert _off_by(moved, bounds, mertens_oracle) == [10, 100, 1000, 10**4, 10**5, 10**6]
 
 
 def _segmented_primes(limit: int, size: int = 1 << 22):
     """The primes up to limit as int64 arrays, one sieve segment at a time."""
-    base = sieve_primes(math.isqrt(limit))
+    base = empirical._prime_array(math.isqrt(limit)).tolist()
     for lo in range(0, limit + 1, size):
         hi = min(lo + size, limit + 1)
         flags = np.ones(hi - lo, dtype=bool)
@@ -1004,15 +1002,15 @@ def test_numpy_log_is_within_the_assumed_ulps():
 
 def test_mean_nu_matches_the_prime_loop():
     for limit in (2, 3, 10, 10**5):
-        primes = sieve_primes(limit)
+        primes = empirical._prime_array(limit).tolist()
         assert mean_nu(limit) == sum(map(count_cubic_roots, primes)) / len(primes)
-    # the CLI's one pass: the mean runs over the primes to the last checkpoint
-    rows, _, mean = empirical._prime_sums(10**5, [10, 1000])
-    assert (rows, mean) == (mertens_check(10**5, [10, 1000]), mean_nu(1000))
+    # the CLI's one pass: the mean runs over the primes up to x
+    rows, _, mean = empirical._prime_sums(10**5)
+    assert (rows, mean) == (mertens_check(10**5), mean_nu(10**5))
 
 
 def test_mertens_deviations_bounded(mertens_1e6):
-    assert [x for x, _ in mertens_1e6] == [10**3, 10**4, 10**5, 10**6]
+    assert [x for x, _ in mertens_1e6] == [10, 100, 10**3, 10**4, 10**5, 10**6]
     for x, dev in mertens_1e6:
         assert abs(dev) <= 3.0, (x, dev)
 
@@ -1024,14 +1022,10 @@ def test_mean_nu_near_one():
 def test_mertens_validation():
     with pytest.raises(DomainError):
         mertens_check(1)
-    with pytest.raises(DomainError):
-        mertens_check(100, checkpoints=[200])
-    # a fractional checkpoint is refused, not truncated to x=50
-    for call in (lambda: mertens_check(100, [50.5]), lambda: mertens_check(100, [50.0]),
-                 lambda: mertens_check(1e3), lambda: mean_nu(1e3)):
+    for call in (lambda: mertens_check(1e3), lambda: mean_nu(1e3)):
         with pytest.raises(DomainError, match="integer"):
             call()
-    assert mertens_check(np.int64(100), [np.uint64(50)]) == mertens_check(100, [50])
+    assert mertens_check(np.int64(100)) == mertens_check(100)
     assert mean_nu(np.int64(1000)) == mean_nu(1000)
 
 
