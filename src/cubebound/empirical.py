@@ -980,31 +980,19 @@ def mertens_check(x: int) -> list[tuple[int, float]]:
 
 
 def mean_nu(limit: int) -> float:
-    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8: the
-    integer total of nu(p) over the prime count, counted in the prime sums'
-    blocks (a whole array of counts at 1e7 runs out of cache)."""
-    limit = _prime_sum_limit(limit)
-    primes = _prime_array(limit)
-    marks = _cube_marks(limit)
-    total = sum(int(_marked_counts(primes[start : start + _PRIME_BLOCK], marks).sum())
-                for start in range(0, primes.size, _PRIME_BLOCK))
-    return total / primes.size
+    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
+    return _prime_sums(limit)[2]
 
 
-def _prime_sum_limit(x) -> int:
-    """x as an int if it is an integer in [2, 1e8], else DomainError."""
+def _prime_sums(x: int) -> tuple[list[tuple[int, float]], list[float], float]:
+    """(mertens_check(x), the bound on the absolute error of each deviation,
+    mean_nu(x)) from one pass over the primes up to x; the mean is the
+    integer total of nu(p) over the prime count."""
     x = _integer("x", x)
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
     if x > _PRIME_SUM_TOP:
         raise DomainError(f"x is capped at 1e8, got {x}")
-    return x
-
-
-def _prime_sums(x: int) -> tuple[list[tuple[int, float]], list[float], float]:
-    """(mertens_check(x), the bound on the absolute error of each deviation,
-    mean_nu(x)) from one pass over the primes up to x."""
-    x = _prime_sum_limit(x)
     cps = [10**j for j in range(1, 9) if 10**j < x] + [x]
     primes = _prime_array(x)
     marks = _cube_marks(x)  # after the sieve, whose peak it would raise

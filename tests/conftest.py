@@ -33,7 +33,7 @@ def mertens_oracle():
     """The prime-sum deviations in 30-digit mpmath at every checkpoint the
     tests use, up to 1e6 (821,641 is the last prime of the 4th block)."""
     return prime_sum_mpmath(
-        [10, 100, 1000, 10**4, 10**5, 821_640, 821_641, 821_647, 10**6], count_cubic_roots
+        [2, 3, 10, 100, 1000, 10**4, 10**5, 821_640, 821_641, 821_647, 10**6], count_cubic_roots
     )
 
 

@@ -915,10 +915,13 @@ def test_failed_save_keeps_the_old_cache(tmp_path):
 # prime-sum estimate
 # ---------------------------------------------------------------------------
 
-def test_mertens_single_prime():
+def test_mertens_single_prime(mertens_oracle):
     [(x, dev)] = mertens_check(2)
     assert x == 2
     assert dev == pytest.approx(math.log(2) / 2 - math.log(2), abs=1e-12)
+    # the first two primes against the oracle, within their stated bounds
+    for x in (2, 3):
+        assert _off_by(*empirical._prime_sums(x)[:2], mertens_oracle) == []
 
 
 def _off_by(rows, bounds, want):
