@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .errors import DomainError, FactorizationError, PrecisionError
 from .lognum import (
-    ONE,
     ZERO,
     LogNumber,
     from_fraction,
@@ -34,8 +33,6 @@ from .lognum import (
     ln_add,
     ln_div,
     ln_mul,
-    ln_neg,
-    ln_pow_int,
     ln_sub,
     ln_sum,
 )
@@ -56,9 +53,8 @@ __all__ = [
     "optimize_alpha", "second_bound_detail", "second_bound_term",
     *_EMPIRICAL,
     "DomainError", "FactorizationError", "PrecisionError",
-    "ONE", "ZERO", "LogNumber", "from_fraction", "from_real", "ln_add",
-    "ln_div", "ln_mul", "ln_neg", "ln_pow_int", "ln_sub",
-    "ln_sum", "exp_integral",
+    "ZERO", "LogNumber", "from_fraction", "from_real", "ln_add",
+    "ln_div", "ln_mul", "ln_sub", "ln_sum", "exp_integral",
 ]
 
 

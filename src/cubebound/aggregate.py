@@ -29,7 +29,6 @@ from .lognum import (
     ln_add,
     ln_div,
     ln_mul,
-    ln_pow_int,
     ln_sub,
     ln_sum,
 )
@@ -192,7 +191,7 @@ def _assemble_report(
     else:
         alpha = ln_mul(proportion_weight(cfg.H, cfg.delta), margin)
         varpi = ln_mul(alpha, from_fraction(cfg.delta / 2))
-        count = ln_mul(from_fraction(cfg.delta), ln_pow_int(alpha, 2))
+        count = ln_mul(from_fraction(cfg.delta), ln_mul(alpha, alpha))
     return AggregateReport(
         ok=failure is None, failure=failure,
         delta=cfg.delta, H=cfg.H, split_h=cfg.split_h, h_max=cfg.h_max,

@@ -14,7 +14,9 @@ which turns each k-term into
     exp(-alpha*L) / k! * I(alpha)^k,   I(alpha) = int_delta^s_max exp(alpha*s)/s ds.
 
 Every alpha >= 0 gives a valid bound, so the tilt decides only sharpness;
-optimize_alpha picks it from the convexity of the log k-term in alpha.
+optimize_alpha picks it from the convexity of the log k-term in alpha. At
+alpha = 0, I = log(s_max/delta) and the k-term is the closed form, so the
+closed form (also the K boundary term) is evaluated as that k-term.
 
 The Monte Carlo oracle for the exact (unrelaxed) region integrals lives with
 the tests, in tests/oracles.py.
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, PrecisionError
-from .lognum import ZERO, LogNumber, ln_sum
+from .lognum import ZERO, LogNumber, ln_sum, log_fraction
 from .quadrature import exp_integral
 
 # relative change of alpha below which the tilt search stops
@@ -86,17 +88,12 @@ class TiltChoice:
     evaluations: int
 
 
-def _log_ratio(num: Fraction, den: Fraction) -> float:
-    r = num / den
-    return math.log(r.numerator) - math.log(r.denominator)
-
-
 def _closed_form(p: BoundParams) -> LogNumber:
-    """(1/k!) * log(s_max/delta)^k, or zero when the region is empty."""
+    """(1/k!) * log(s_max/delta)^k, the k-term at alpha = 0, or zero when
+    the region is empty."""
     if p.is_empty():
         return ZERO
-    big_l = _log_ratio(p.s_max, p.delta)
-    return LogNumber(1, p.k * math.log(big_l) - math.lgamma(p.k + 1))
+    return LogNumber(1, _log_term(p.k, 0.0, 0.0, log_fraction(p.s_max / p.delta)))
 
 
 def first_bound(h: int, delta) -> LogNumber:
@@ -169,7 +166,7 @@ def optimize_alpha(p: BoundParams) -> TiltChoice:
     if p.is_empty():
         return TiltChoice(k=p.k, alpha=0.0, term_value=ZERO, evaluations=0)
     a, b, k = float(p.delta), float(p.s_max), p.k
-    alpha, integral = 0.0, _log_ratio(p.s_max, p.delta)
+    alpha, integral = 0.0, log_fraction(p.s_max / p.delta)
     best_a, best_v = alpha, _log_term(k, lower, alpha, integral)
     lo, hi = 0.0, 700.0 / b
     for evals in range(_MAX_STEPS):

@@ -805,17 +805,17 @@ _SEGMENT = 1 << 16  # values per sieve segment
 
 
 def _sieved_segments(
-    job: RangeJob, table: RootTable, progress: Callable[[int, int], None] | None
+    job: RangeJob, table: RootTable
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Sieve every table prime out of each segment lo..hi of (x_min, x_max],
     without dividing a value.
 
-    Yields (lo, hi, m, k, at, by), then fires progress(lo, hi): the prime
-    by[j] divides the value at index at[j] once per j, and m + k*2^64
-    (uint64 arrays) is the exact residual of (lo+i)^3 + 2 after every
-    division. One array holds each root's next hit n >= x_min + 1; a
-    segment expands the progressions of the roots that hit it into one
-    (at, by) per hit, and moves those hits past its end.
+    Yields (lo, hi, m, k, at, by): the prime by[j] divides the value at
+    index at[j] once per j, and m + k*2^64 (uint64 arrays) is the exact
+    residual of (lo+i)^3 + 2 after every division. One array holds each
+    root's next hit n >= x_min + 1; a segment expands the progressions of
+    the roots that hit it into one (at, by) per hit, and moves those hits
+    past its end.
     m*P is the value, or its odd half n^3/2 + 1 for even n (4 never divides
     n^3 + 2), with P the product of the odd divisions, so m is that value
     mod 2^64, in wrapping uint64 arithmetic, times the inverse mod 2^64 of
@@ -866,8 +866,6 @@ def _sieved_segments(
             np.multiply.at(m, at, inv)  # the quotient is exact, so it is m/q mod 2^64
             np.divide.at(est, at, by)
         yield (lo, hi, m, k, *map(np.concatenate, zip(*divisions)))
-        if progress is not None:
-            progress(lo, hi)
 
 
 def _residual_ints(m: np.ndarray, k: np.ndarray, lanes: np.ndarray) -> list[int]:
@@ -891,7 +889,7 @@ def factor_range(job: RangeJob, table: RootTable | None = None) -> Iterator[Fact
     FactorizationError rather than passing silently.
     """
     table = _covering_table(job, table, job.x_max)
-    for lo, hi, m, k, at, by in _sieved_segments(job, table, None):
+    for lo, hi, m, k, at, by in _sieved_segments(job, table):
         rest = np.flatnonzero((m > 1) | (k > 0))
         pairs = _cofactor_primes(_residual_ints(m, k, rest), (lo + rest).tolist(), table.limit)
         found: list[dict[int, int]] = [{} for _ in range(m.size)]
@@ -928,7 +926,7 @@ def empirical_T(
     table = _covering_table(job, table, job.count_limit)
     h, threshold, limit = job.h, job.threshold, table.limit
     count = 0
-    for lo, hi, m, k, at, by in _sieved_segments(job, table, progress):
+    for lo, hi, m, k, at, by in _sieved_segments(job, table):
         om = np.bincount(at[by >= threshold], minlength=m.size)  # factors >= threshold
         count += int(np.count_nonzero(om >= h))
         near = (om < h) & (om + 2 >= h) & ((m > 1) | (k > 0))
@@ -938,6 +936,8 @@ def empirical_T(
         tested = np.flatnonzero(near & (om == h - 2) & ((m > limit * limit) | (k > 0)))
         if tested.size:
             count += is_certified_prime(_residual_ints(m, k, tested)).count(False)
+        if progress is not None:
+            progress(lo, hi)
     return count
 
 

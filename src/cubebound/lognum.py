@@ -77,7 +77,6 @@ class LogNumber:
 
 
 ZERO = LogNumber(0)
-ONE = LogNumber(1, 0.0)
 
 
 def from_real(x: float) -> LogNumber:
@@ -90,12 +89,17 @@ def from_real(x: float) -> LogNumber:
     return LogNumber(1 if x > 0 else -1, math.log(abs(x)))
 
 
+def log_fraction(fr: Fraction) -> float:
+    """ln|fr| of a nonzero rational as ln|numerator| - ln denominator, so
+    big numerators/denominators are fine."""
+    return math.log(abs(fr.numerator)) - math.log(fr.denominator)
+
+
 def from_fraction(fr: Fraction) -> LogNumber:
-    """Exact rational to log-domain; big numerators/denominators are fine."""
+    """Exact rational to log-domain."""
     if fr == 0:
         return ZERO
-    num, den = abs(fr.numerator), fr.denominator
-    return LogNumber(1 if fr > 0 else -1, math.log(num) - math.log(den))
+    return LogNumber(1 if fr > 0 else -1, log_fraction(fr))
 
 
 def ln_mul(a: LogNumber, b: LogNumber) -> LogNumber:
@@ -110,12 +114,6 @@ def ln_div(a: LogNumber, b: LogNumber) -> LogNumber:
     if a.sign == 0:
         return ZERO
     return LogNumber(a.sign * b.sign, a.log_mag - b.log_mag)
-
-
-def ln_neg(a: LogNumber) -> LogNumber:
-    if a.sign == 0:
-        return ZERO
-    return LogNumber(-a.sign, a.log_mag)
 
 
 def ln_add(a: LogNumber, b: LogNumber) -> LogNumber:
@@ -135,21 +133,7 @@ def ln_add(a: LogNumber, b: LogNumber) -> LogNumber:
 
 
 def ln_sub(a: LogNumber, b: LogNumber) -> LogNumber:
-    return ln_add(a, ln_neg(b))
-
-
-def ln_pow_int(a: LogNumber, n: int) -> LogNumber:
-    """a**n for integer n; n <= 0 with a = 0 is an error."""
-    if not isinstance(n, int):
-        raise DomainError(f"exponent must be an integer, got {n!r}")
-    if a.sign == 0:
-        if n <= 0:
-            raise DomainError("zero cannot be raised to a non-positive power")
-        return ZERO
-    if n == 0:
-        return ONE
-    sign = a.sign if n % 2 else 1
-    return LogNumber(sign, n * a.log_mag)
+    return ln_add(a, LogNumber(-b.sign, b.log_mag))
 
 
 def ln_sum(terms: Iterable[LogNumber]) -> LogNumber:

@@ -57,11 +57,12 @@ def exp_integral_oracle(alpha: float, a: float, b: float) -> float:
 
 
 def reproduction_oracle(report) -> dict:
-    """tail_first, tail_second and alpha of a report recomputed in mpmath at
-    40 digits: every k-term at its reported tilt alpha_k with mpmath.ei and
-    the exact rational limits delta and s_max, the closed-form terms from
-    log(s_max/delta)^k/k!, then the report's sums and weight. Only the tilts
-    and the configuration are read from the report."""
+    """tail_first, tail_second, alpha, varpi and count_proportion of a report
+    recomputed in mpmath at 40 digits: every k-term at its reported tilt
+    alpha_k with mpmath.ei and the exact rational limits delta and s_max, the
+    closed-form terms from log(s_max/delta)^k/k!, then the report's sums and
+    weight, varpi = alpha*delta/2 and count_proportion = delta*alpha^2. Only
+    the tilts and the configuration are read from the report."""
     mp = mpmath.mp.clone()
     mp.dps = 40
     delta = report.delta
@@ -98,10 +99,13 @@ def reproduction_oracle(report) -> dict:
             )
         tails[t.method] += coefficient * min(t.h, inv_floor) * mp.mpf(2) ** t.h
     weight = mp.mpf(2) ** -report.H / min(report.H, inv_floor)
+    alpha = weight * (mp.mpf(report.S_lower) - tails["first"] - tails["second"])
     return {
         "tail_first": tails["first"],
         "tail_second": tails["second"],
-        "alpha": weight * (mp.mpf(report.S_lower) - tails["first"] - tails["second"]),
+        "alpha": alpha,
+        "varpi": alpha * real(delta) / 2,
+        "count_proportion": real(delta) * alpha**2,
     }
 
 

@@ -145,15 +145,17 @@ def test_final_constants_inversion_identity(default_report):
 
 
 def _oracle_errors(report, oracle):
-    """Relative distance of the report's tails and alpha from the oracle's."""
+    """Relative distance of the report's tails, alpha, varpi and count
+    proportion from the oracle's."""
     values = {"tail_first": report.tail_first, "tail_second": report.tail_second,
-              "alpha": report.alpha_proportion}
+              "alpha": report.alpha_proportion, "varpi": report.varpi,
+              "count_proportion": report.count_proportion}
     return {k: float(abs(oracle[k] / mpmath.exp(v.log_mag) - 1)) for k, v in values.items()}
 
 
 def test_reproduction_matches_the_mpmath_oracle(default_report):
     # mpmath at the reported tilts puts the true errors near 2e-14; each of
-    # the three values is held to 1e-12
+    # the five values is held to 1e-12
     oracle = reproduction_oracle(default_report)
     errors = _oracle_errors(default_report, oracle)
     assert max(errors.values()) <= 1e-12, errors

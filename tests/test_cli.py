@@ -370,7 +370,7 @@ def test_console_script_runs():
 
 def test_pipeline_never_loads_numpy_or_a_process_pool():
     script = """
-import contextlib, io, sys
+import contextlib, io, sys, types
 import cubebound, cubebound.aggregate, cubebound.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert cubebound.cli.main(["reproduce", "--timestamp", "T"]) == 0
@@ -386,6 +386,9 @@ assert "concurrent.futures.process" not in sys.modules
 names = {}
 exec("from cubebound import *", names)
 assert set(cubebound.__all__) <= set(names)
+bound = {name for name, value in vars(cubebound).items()
+         if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+assert bound <= set(cubebound.__all__), bound - set(cubebound.__all__)
 """
     proc = run_child("-c", script)
     assert proc.returncode == 0, proc.stderr

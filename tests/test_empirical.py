@@ -655,7 +655,7 @@ def test_sieve_windows_reach_every_branch(sieve_windows):
 def _sieved(job, table):
     """{n: (divisions, residual)} for each n of job, read off the sieve."""
     out = {}
-    for lo, hi, m, k, at, by in empirical._sieved_segments(job, table, None):
+    for lo, hi, m, k, at, by in empirical._sieved_segments(job, table):
         divisions = [{} for _ in range(lo, hi + 1)]
         for i, p in zip(at.tolist(), by.tolist()):
             divisions[i][p] = divisions[i].get(p, 0) + 1
