@@ -35,9 +35,9 @@ from .lognum import (
 
 _LN2 = math.log(2.0)
 
-# margins below this relative size are treated as numerically zero, so
-# S_lower == tail_total degrades to an explicit failure state instead of a
-# meaningless round-off proportion
+# a margin not above this fraction of S_lower is treated as numerically zero
+# (and every margin is when S_lower is 0), so S_lower == tail_total degrades
+# to an explicit failure state instead of a meaningless round-off proportion
 _MARGIN_REL_FLOOR = 1e-9
 
 # the five reference constants a reproduction is judged against, each as
@@ -75,8 +75,8 @@ class AggregateConfig:
             )
         if self.K_offset < 1:
             raise DomainError(f"K_offset must be at least 1, got {self.K_offset}")
-        if self.S_lower < 0.0:
-            raise DomainError(f"S_lower must be non-negative, got {self.S_lower}")
+        if not 0.0 <= self.S_lower < math.inf:
+            raise DomainError(f"S_lower must be finite and non-negative, got {self.S_lower}")
 
     @property
     def inv_delta_floor(self) -> int:
@@ -98,10 +98,9 @@ class PerHTerm:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Pipeline result; ok is False when h_max truncates the nonzero tail or
-    the margin is zero or negative."""
+    """Pipeline result; failure says why it is not ok: h_max truncates the
+    nonzero tail, or the margin is not above _MARGIN_REL_FLOOR * S_lower."""
 
-    ok: bool
     failure: str | None
     delta: Fraction
     H: int
@@ -117,6 +116,10 @@ class AggregateReport:
     varpi: LogNumber
     count_proportion: LogNumber
     per_h_terms: tuple[PerHTerm, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def _per_h_entry(cfg: AggregateConfig, h: int, method: str) -> PerHTerm:
@@ -175,17 +178,13 @@ def _assemble_report(
     tail_total = ln_add(tail_first, tail_second)
     s_lower = from_real(cfg.S_lower)
     margin = ln_sub(s_lower, tail_total)
-    numeric_floor = (
-        LogNumber(1, s_lower.log_mag + math.log(_MARGIN_REL_FLOOR))
-        if s_lower.sign > 0 else ZERO
-    )
     last_h = _last_nonzero_h(cfg.delta)
     alpha = varpi = count = ZERO
     failure = None
     if cfg.h_max < last_h:
         failure = (f"h_max={cfg.h_max} truncates the tail: the closed-form terms "
                    f"are nonzero up to h={last_h}")
-    elif margin.sign <= 0 or margin <= numeric_floor:
+    elif margin <= ln_mul(s_lower, from_real(_MARGIN_REL_FLOOR)):
         failure = ("margin S_lower - tail_total is zero or negative; "
                    "no positive proportion follows")
     else:
@@ -193,7 +192,7 @@ def _assemble_report(
         varpi = ln_mul(alpha, from_fraction(cfg.delta / 2))
         count = ln_mul(from_fraction(cfg.delta), ln_mul(alpha, alpha))
     return AggregateReport(
-        ok=failure is None, failure=failure,
+        failure=failure,
         delta=cfg.delta, H=cfg.H, split_h=cfg.split_h, h_max=cfg.h_max,
         K_offset=cfg.K_offset, S_lower=cfg.S_lower,
         tail_first=tail_first, tail_second=tail_second, tail_total=tail_total,
@@ -216,23 +215,19 @@ def final_constants(cfg: AggregateConfig) -> AggregateReport:
 def sweep_H(cfg: AggregateConfig, H_values: Iterable[int]) -> list[tuple[int, AggregateReport]]:
     """final_constants for every H in H_values, sharing the per-h terms.
 
-    Per-H failures come back as reports with ok=False, never as exceptions.
+    AggregateConfig checks every H before any term is computed. Per-H
+    failures come back as reports with ok=False, never as exceptions.
     """
-    hs = list(H_values)
-    if not hs:
+    cfgs = [replace(cfg, H=H) for H in H_values]
+    if not cfgs:
         return []
-    for H in hs:
-        if not (1 <= H < cfg.split_h):
-            raise DomainError(f"swept H must satisfy 1 <= H < split_h, got {H}")
-    base = replace(cfg, H=min(hs))
+    base = min(cfgs, key=lambda c: c.H)
     _, second_terms = weighted_tail(base, base.H + 1, cfg.split_h - 1, "second")
     _, first_terms = weighted_tail(base, cfg.split_h, cfg.h_max, "first")
-    out = []
-    for H in hs:
-        cfg_h = replace(cfg, H=H)
-        kept = [t for t in second_terms if t.h > H]
-        out.append((H, _assemble_report(cfg_h, kept, first_terms)))
-    return out
+    return [
+        (c.H, _assemble_report(c, [t for t in second_terms if t.h > c.H], first_terms))
+        for c in cfgs
+    ]
 
 
 def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:

@@ -123,10 +123,11 @@ def second_bound_term(p: BoundParams, alpha: float) -> LogNumber:
     """One tilted k-term: exp(-alpha*(h-k-3)/(h-k-1))/k! * I(alpha)^k with
     I(alpha) = int_delta^s_max exp(alpha*s)/s ds.
 
-    Valid for k <= h-2. An empty region yields zero, not an error.
+    Valid for k <= h-2 and 0 <= alpha < inf, checked even where the region
+    is empty; an empty region yields zero, not an error.
     """
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be non-negative, got {alpha!r}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and non-negative, got {alpha!r}")
     lower = _lower(p)
     if p.is_empty():
         return ZERO

@@ -714,14 +714,12 @@ class FactorProfile:
 
 
 def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
-    """A non-trivial divisor of composite v (Brent's cycle variant with a
+    """A non-trivial divisor of odd composite v (Brent's cycle variant with a
     deterministic parameter march, so output streams are reproducible).
 
     The walk for c = 1 starts from resume, a state (x, y, q, r, k) that
     _brent_lanes reached, when one is given.
     """
-    if v % 2 == 0:
-        return 2
     for c in range(1, 41):
         # round r: x is fixed, y has taken k of its r gcd-tracked steps
         x, y, q, r, k = resume if resume and c == 1 else (2, (4 + c) % v, 1, 1, 0)
@@ -750,10 +748,14 @@ def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
 
 def _pollard_brent(values: list[int], ns: Sequence[int]) -> list[int]:
     """A checked non-trivial divisor of every composite value (ns as in
-    _cofactor_primes); odd values below 2^63 walk in lockstep first, and
-    _brent_int finishes the walks that did not split there."""
+    _cofactor_primes); values below 2^63 walk in lockstep first, and
+    _brent_int finishes the walks that did not split there.
+
+    Every value is odd, as the Montgomery lanes need: the sieve strips 2,
+    which every root table holds, and 4 never divides n^3 + 2.
+    """
     divisors = [0] * len(values)
-    lanes = [i for i, v in enumerate(values) if v % 2 and v < _MONT_TOP]
+    lanes = [i for i, v in enumerate(values) if v < _MONT_TOP]
     found, states = _brent_lanes(np.array([values[i] for i in lanes], dtype=np.uint64))
     for i, d in zip(lanes, found):
         divisors[i] = d
@@ -775,7 +777,7 @@ def _cofactor_primes(
 
     So each cofactor is 1, a prime or a product of two primes above limit,
     and a value up to limit^2 is prime. The larger values are certified in
-    one batch; a composite one is a square or splits once by _pollard_brent.
+    one batch; a composite one, square or not, splits once by _pollard_brent.
     A part above limit^2 would have more prime factors, which the sieve
     rules out, and raises FactorizationError.
     """
@@ -783,21 +785,18 @@ def _cofactor_primes(
     out = [(i, v) for i, v in enumerate(cofactors) if 1 < v <= sq]
     tested = [(i, v) for i, v in enumerate(cofactors) if v > sq]
     verdicts = is_certified_prime([v for _, v in tested]) if tested else []
-    splits, composite = [], []
+    composite = []
     for (i, v), prime in zip(tested, verdicts):
         if prime:
             out.append((i, v))
-        elif (r := isqrt(v)) * r == v:
-            splits.append((i, v, r))
         else:
             composite.append((i, v))
     if composite:
         divisors = _pollard_brent([v for _, v in composite], [ns[i] for i, _ in composite])
-        splits += [(i, v, d) for (i, v), d in zip(composite, divisors)]
-    for i, v, d in splits:
-        if max(d, v // d) > sq:
-            raise FactorizationError(ns[i], f"cofactor {v} has more than two prime factors")
-        out += [(i, d), (i, v // d)]
+        for (i, v), d in zip(composite, divisors):
+            if max(d, v // d) > sq:
+                raise FactorizationError(ns[i], f"cofactor {v} has more than two prime factors")
+            out += [(i, d), (i, v // d)]
     return out
 
 

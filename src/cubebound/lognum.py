@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from typing import Iterable
 
@@ -19,6 +20,7 @@ _LN10 = math.log(10.0)
 _EXP_OVERFLOW = 709.7
 
 
+@total_ordering
 @dataclass(frozen=True)
 class LogNumber:
     """A real number as a sign in {-1, 0, +1} plus the natural log of its magnitude."""
@@ -55,25 +57,10 @@ class LogNumber:
         prefix = "-" if self.sign < 0 else ""
         return f"{prefix}{mant:.{digits}f}e{exp10:+03d}"
 
-    def _cmp(self, other: "LogNumber") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0 or self.log_mag == other.log_mag:
-            return 0
-        bigger_mag = 1 if self.log_mag > other.log_mag else -1
-        return bigger_mag * self.sign
-
     def __lt__(self, other: "LogNumber") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "LogNumber") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "LogNumber") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "LogNumber") -> bool:
-        return self._cmp(other) >= 0
+        # one key, sign then signed log magnitude; total_ordering derives
+        # <=, >, >= from it and the field __eq__, which agrees as zero is canonical
+        return (self.sign, self.sign * self.log_mag) < (other.sign, other.sign * other.log_mag)
 
 
 ZERO = LogNumber(0)

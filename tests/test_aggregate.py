@@ -46,8 +46,9 @@ def test_config_validation():
         AggregateConfig(split_h=970, h_max=963)
     with pytest.raises(DomainError):
         AggregateConfig(K_offset=0)
-    with pytest.raises(DomainError):
-        AggregateConfig(S_lower=-1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="S_lower"):
+            AggregateConfig(S_lower=bad)
     with pytest.raises(DomainError):
         AggregateConfig(delta=0.003)  # float delta rejected
 
@@ -177,6 +178,11 @@ def test_failure_state_zero_s_lower():
     assert "margin" in rep.failure
     assert rep.alpha_proportion == ZERO
     assert rep.varpi == ZERO
+    # a positive margin must clear 1e-9 of S_lower: 5e-10 of it fails, 2e-9 passes
+    tail = rep.tail_total.to_real()
+    thin = final_constants(replace(cfg, S_lower=tail * (1 + 5e-10)))
+    assert thin.margin.sign == 1 and not thin.ok and "margin" in thin.failure
+    assert final_constants(replace(cfg, S_lower=tail * (1 + 2e-9))).ok
 
 
 def test_failure_state_exact_margin():

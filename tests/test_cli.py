@@ -24,8 +24,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(constant: str):
+    raise ValueError(f"document holds {constant}, which is not JSON")
+
+
 def doc_of(out: str) -> dict:
-    return json.loads(out)
+    return json.loads(out, parse_constant=_not_json)
 
 
 def test_bound_first_basic(capsys):
@@ -121,6 +125,18 @@ def test_domain_errors_exit_2(capsys):
     )
     assert code == 2
     assert "threshold <= 10000001" in err
+    # non-finite tilts and sieve constants: every region of h = 964 is empty,
+    # so only the tilt check stands between a non-finite tilt and the document
+    for alpha in ("nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "bound", "second", "--h", "964", "--delta", "1/321", "--alpha", alpha
+        )
+        assert (code, out) == (2, "")
+        assert "alpha must be finite and non-negative" in err
+    for s_lower in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "reproduce", "--s-lower", s_lower)
+        assert (code, out) == (2, "")
+        assert "S_lower must be finite and non-negative" in err
 
 
 def test_documents_byte_identical_with_pinned_timestamp(capsys):
@@ -365,7 +381,7 @@ def run_child(*argv):
 def test_console_script_runs():
     proc = run_child("-m", "cubebound", "empirical", "nu", "--d", "7")
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["result"]["nu"] == 0
+    assert doc_of(proc.stdout)["result"]["nu"] == 0
 
 
 def test_pipeline_never_loads_numpy_or_a_process_pool():

@@ -174,6 +174,9 @@ def test_lockstep_splits_divide_and_are_proper():
         p = sympy.nextprime(rnd.randrange(10**6, 2 * 10**7))
         q = sympy.nextprime(rnd.randrange(10**6, 10**12))
         cases.append((p * q, p, q))
+    for _ in range(10):  # squares of primes above 2^29 split like any composite
+        q = sympy.nextprime(rnd.randrange(2**29, 2**30 - 100))
+        cases.append((q * q, q, q))
     values = [v for v, _, _ in cases]
     found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
     assert resume and len(resume) < empirical._BRENT_BATCH_MIN  # the slowest lanes are handed over

@@ -1,8 +1,9 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cubebound import (
@@ -87,11 +88,24 @@ def test_from_fraction_handles_huge_ratios():
     assert got.log_mag == pytest.approx(400 * math.log(10) - math.log(3), rel=1e-12)
 
 
-def test_ordering():
+@given(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=-1e300, max_value=1e300))
+@example(0.0, -0.0)
+@example(-0.0, 1e-300)
+@example(2.5, -2.5)
+@example(-2.5, 2.5)
+@example(-2.5, -2.5)
+@example(-1e300, 1e-300)
+def test_ordering(x, y):
     assert ZERO < LogNumber(1, 0.0)
     assert LogNumber(-1, 5.0) < LogNumber(-1, 1.0) < ZERO
     assert LogNumber(1, 1.0) < LogNumber(1, 5.0)
     assert LogNumber(-1, 700.0) < LogNumber(1, -700.0)
+    # all five operators agree with the floats' own; only distinct floats
+    # whose logs round to one double (adjacent ones) compare equal instead
+    a, b = from_real(x), from_real(y)
+    assume(x == y or a != b)
+    ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq)
+    assert [op(a, b) for op in ops] == [op(x, y) for op in ops]
 
 
 def test_to_sci():
