@@ -40,9 +40,9 @@ from .quadrature import exp_integral
 
 # the empirical harness needs numpy, so its names are imported on first use
 _EMPIRICAL = (
-    "FactorProfile", "RangeJob", "RootTable", "build_root_table",
+    "FactorProfile", "PrimeSums", "RangeJob", "RootTable", "build_root_table",
     "count_cubic_roots", "empirical_T", "factor_range", "load_root_table",
-    "mean_nu", "mertens_check", "nu", "nu_from_factors", "save_root_table",
+    "mertens_check", "nu", "nu_from_factors", "prime_sums", "save_root_table",
 )
 
 __all__ = [

@@ -245,7 +245,7 @@ def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
             "name": f"{name} {op} {limit:g}",
             "passed": (value <= bound if op == "<=" else value >= bound)
             and not (truncated and field in ("tail_first", "tail_total")),
-            "computed": value.to_sci(8),
+            "computed": value.to_sci(),
         })
     if report.ok:
         # ok implies a positive margin, so S_lower > 0
@@ -264,11 +264,11 @@ def reproduction_checks(report: AggregateReport) -> tuple[list[dict], bool]:
     return checks, all(c["passed"] for c in checks)
 
 
-def display_round(value: LogNumber, mode: str, sig: int = 2) -> str:
-    """Render to sig significant figures, rounding 'up' (toward +inf) for
+def display_round(value: LogNumber, mode: str) -> str:
+    """Render to two significant figures, rounding 'up' (toward +inf) for
     upper-bound coefficients and 'down' (toward -inf) for lower-bound ones
     (conservative quoting). The rounding is exact: exp(log_mag) is taken to
-    40 digits in decimal before it is cut to sig figures."""
+    40 digits in decimal before it is cut to two figures."""
     if mode not in ("up", "down"):
         raise DomainError(f"mode must be 'up' or 'down', got {mode!r}")
     if value.sign == 0:
@@ -276,6 +276,6 @@ def display_round(value: LogNumber, mode: str, sig: int = 2) -> str:
     x = Context(prec=40).exp(Decimal(value.log_mag))
     if value.sign < 0:
         x = x.copy_negate()
-    x = Context(prec=sig, rounding=ROUND_CEILING if mode == "up" else ROUND_FLOOR).plus(x)
+    x = Context(prec=2, rounding=ROUND_CEILING if mode == "up" else ROUND_FLOOR).plus(x)
     exp10 = x.adjusted()
-    return f"{x.scaleb(-exp10):.{sig - 1}f}e{exp10:+03d}"
+    return f"{x.scaleb(-exp10):.1f}e{exp10:+03d}"

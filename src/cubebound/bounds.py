@@ -38,14 +38,12 @@ _ALPHA_RTOL = 1e-9
 _MAX_STEPS = 100
 
 
-def checked_delta(delta, h: int = 3) -> Fraction:
-    """delta as an exact rational after the checks every entry point shares:
-    h >= 3 and 0 < delta < 1. Floats are rejected on purpose."""
+def checked_delta(delta) -> Fraction:
+    """delta as an exact rational in (0, 1), the check every entry point
+    shares. Floats are rejected on purpose."""
     if isinstance(delta, float):
         raise DomainError("delta must be an exact rational (e.g. Fraction(1, 321)), not a float")
     delta = Fraction(delta)
-    if h < 3:
-        raise DomainError(f"h must be at least 3, got {h}")
     if not (0 < delta < 1):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return delta
@@ -61,7 +59,9 @@ class BoundParams:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", checked_delta(self.delta, self.h))
+        if self.h < 3:
+            raise DomainError(f"h must be at least 3, got {self.h}")
+        object.__setattr__(self, "delta", checked_delta(self.delta))
         if not (self.h // 3 <= self.k <= self.h - 1):
             raise DomainError(f"k must lie in [{self.h // 3}, {self.h - 1}], got {self.k}")
 
@@ -191,8 +191,6 @@ def optimize_alpha(p: BoundParams) -> TiltChoice:
 class SecondBoundDetail:
     """Tilted bound broken into its optimised k-terms and the K boundary term."""
 
-    h: int
-    K: int
     total: LogNumber
     tilt_choices: tuple[TiltChoice, ...]
     boundary_term: LogNumber
@@ -221,6 +219,4 @@ def second_bound_detail(h: int, delta, K: int, alpha: float | None = None) -> Se
         )
     boundary = _closed_form(top)
     total = ln_sum([c.term_value for c in choices] + [boundary])
-    return SecondBoundDetail(
-        h=h, K=K, total=total, tilt_choices=choices, boundary_term=boundary
-    )
+    return SecondBoundDetail(total=total, tilt_choices=choices, boundary_term=boundary)

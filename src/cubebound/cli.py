@@ -63,7 +63,7 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _lognum_doc(x: LogNumber) -> dict:
-    return {"sign": x.sign, "log_mag": x.log_mag, "sci": x.to_sci(8)}
+    return {"sign": x.sign, "log_mag": x.log_mag, "sci": x.to_sci()}
 
 
 def build_parser() -> _Parser:
@@ -122,13 +122,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _manifest(command: str, parameters: dict, timestamp: str | None, seed=None) -> dict:
+def _manifest(command: str, parameters: dict, timestamp: str | None) -> dict:
     return {
         "command": command,
         "parameters": {k: str(v) for k, v in parameters.items()},
         "tool_version": __version__,
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
+        "seed": None,  # every command is deterministic
     }
 
 
@@ -219,11 +219,11 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
     # imported here so that bound and reproduce runs never load numpy
     from .empirical import (
         RangeJob,
-        _prime_sums,
         build_root_table,
         empirical_T,
         load_root_table,
         nu,
+        prime_sums,
         save_root_table,
     )
 
@@ -233,13 +233,13 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
 
     if args.variant == "mertens":
         manifest = _manifest("empirical mertens", {"limit": args.limit}, args.timestamp)
-        deviations, bounds, mean = _prime_sums(args.limit)
+        sums = prime_sums(args.limit)
         result = {
             "limit": args.limit,
-            "deviations": [[x, dev] for x, dev in deviations],
-            "deviation_bounds": [[x, b] for (x, _), b in zip(deviations, bounds)],
-            "max_abs_deviation": max(abs(dev) for _, dev in deviations),
-            "mean_nu": mean,
+            "deviations": [[x, dev] for x, dev in sums.deviations],
+            "deviation_bounds": [[x, b] for (x, _), b in zip(sums.deviations, sums.bounds)],
+            "max_abs_deviation": max(abs(dev) for _, dev in sums.deviations),
+            "mean_nu": sums.mean_nu,
         }
         return manifest, result, 0
 

@@ -196,6 +196,10 @@ class _Mont(NamedTuple):
 
     @classmethod
     def of(cls, m: np.ndarray) -> _Mont:
+        """The arithmetic mod each lane of m; DomainError unless every lane is
+        odd and in (1, 2^63), where REDC and the lane add are exact."""
+        if (bad := (m & 1 == 0) | (m < 3) | (m >= _MONT_TOP)).any():
+            raise DomainError(f"lane moduli must be odd and in (1, 2^63), got {m[bad][0]}")
         return cls(m, *_halves(m), _inverse_mod_2_64(m), np.uint64(2**64 - 1) % m + 1)
 
     def take(self, keep: np.ndarray) -> _Mont:
@@ -450,24 +454,6 @@ def _marked_counts(p: np.ndarray, marks: np.ndarray) -> np.ndarray:
     return np.where(p - 6 * q == 1, 3 * marks[q], 1)
 
 
-def _trial_factor(d: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while d % p == 0:
-            out[p] = out.get(p, 0) + 1
-            d //= p
-    f = 5
-    while f * f <= d:
-        for p in (f, f + 2):
-            while d % p == 0:
-                out[p] = out.get(p, 0) + 1
-                d //= p
-        f += 6
-    if d > 1:
-        out[d] = out.get(d, 0) + 1
-    return out
-
-
 def _nu_prime_power(p: int, e: int) -> int:
     """nu(p^e) for prime p and e >= 1, counted without the roots.
 
@@ -485,28 +471,35 @@ def nu(d: int) -> int:
     """Number of n mod d with n^3 + 2 == 0 (mod d).
 
     Multiplicative over coprime parts (Chinese remainder), so d is factorised
-    by trial division and counted by nu_from_factors. Direct use is capped at
-    d <= 1e9; factor larger d yourself and call nu_from_factors.
+    by trial division by the primes up to sqrt(d), which leaves 1 or a prime,
+    and counted by nu_from_factors. Direct use is capped at d <= 1e9; factor
+    larger d yourself and call nu_from_factors.
     """
     d = _integer("d", d)
     if d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if d > 10**9:
         raise DomainError("d above 1e9; factor it and use nu_from_factors")
-    return nu_from_factors(_trial_factor(d))
+    factors: dict[int, int] = {}
+    for p in _prime_array(isqrt(d)).tolist():
+        while d % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            d //= p
+    if d > 1:
+        factors[d] = 1
+    return nu_from_factors(factors)
 
 
 def nu_from_factors(factors: Mapping[int, int]) -> int:
     """nu of a prime-factored integer prod p^e (for d beyond the direct cap):
-    the product of the prime-power counts, each prime certified first."""
+    the product of the prime-power counts, every prime certified and every
+    exponent checked, whatever the order of the entries."""
     count = 1
     for p, e in factors.items():
         p = _integer("prime", p)
         if not is_certified_prime(p):
             raise DomainError(f"{p} is not prime")
         count *= _nu_prime_power(p, e)
-        if count == 0:
-            return 0
     return count
 
 
@@ -542,11 +535,12 @@ _CACHE_HEADER = 16  # magic, version, limit; then one 8-byte word per root
 
 def build_root_table(limit: int) -> RootTable:
     """Roots of n^3 + 2 == 0 (mod p) for every prime p <= limit, computed on
-    uint64 lanes by _lane_roots. The limit is capped at MAX_RANGE_TOP, as
-    for the caches load_root_table reads."""
+    uint64 lanes by _lane_roots. The limit is non-negative and capped at
+    MAX_RANGE_TOP, as for the caches load_root_table reads."""
     limit = _integer("limit", limit)
-    if limit > MAX_RANGE_TOP:
-        raise DomainError(f"prime limit is capped at {MAX_RANGE_TOP}, got {limit}")
+    if not 0 <= limit <= MAX_RANGE_TOP:
+        raise DomainError(f"prime limit must be non-negative and is capped at {MAX_RANGE_TOP}, "
+                          f"got {limit}")
     return RootTable(limit, *_lane_roots(_prime_array(limit)))
 
 
@@ -965,28 +959,24 @@ _LOG_ULPS = 1
 _U = 2.0**-53
 
 
-def mertens_check(x: int) -> list[tuple[int, float]]:
-    """Deviations sum_{p<=c} nu(p) log(p)/p - log(c) at each checkpoint c:
-    the powers of ten below x, then x itself, for 2 <= x <= 1e8.
+class PrimeSums(NamedTuple):
+    """The prime sums up to x from one pass over the primes p <= x."""
+
+    deviations: list[tuple[int, float]]  # (checkpoint c, sum_{p<=c} nu(p) log(p)/p - log c)
+    bounds: list[float]  # the bound on the absolute error of each deviation
+    mean_nu: float  # the mean of nu(p) over the primes, an integer total over their count
+
+
+def prime_sums(x: int) -> PrimeSums:
+    """The deviations sum_{p<=c} nu(p) log(p)/p - log(c) at each checkpoint
+    c, the powers of ten below x and then x itself, their error bounds and
+    the mean of nu(p), for 2 <= x <= 1e8.
 
     Exact prime enumeration with floating accumulation. The primes are
     taken in blocks of 2^14, each summed in order by numpy; the block totals
     are carried exactly (math.fsum), so each deviation is within its stated
-    bound of the true value: below 3.1e-11 up to x = 1e8 (_prime_sums
-    returns the bounds).
+    bound of the true value: below 3.1e-11 up to x = 1e8.
     """
-    return _prime_sums(x)[0]
-
-
-def mean_nu(limit: int) -> float:
-    """Average of nu(p) over primes p <= limit, for 2 <= limit <= 1e8."""
-    return _prime_sums(limit)[2]
-
-
-def _prime_sums(x: int) -> tuple[list[tuple[int, float]], list[float], float]:
-    """(mertens_check(x), the bound on the absolute error of each deviation,
-    mean_nu(x)) from one pass over the primes up to x; the mean is the
-    integer total of nu(p) over the prime count."""
     x = _integer("x", x)
     if x < 2:
         raise DomainError(f"x must be at least 2, got {x}")
@@ -1016,4 +1006,9 @@ def _prime_sums(x: int) -> tuple[list[tuple[int, float]], list[float], float]:
                            + 2 * _LOG_ULPS * _U * log_x) * (1 + 2.0**-20))
             j += 1
         totals.append(float(sums[-1]))
-    return out, bounds, total / primes.size
+    return PrimeSums(out, bounds, total / primes.size)
+
+
+def mertens_check(x: int) -> list[tuple[int, float]]:
+    """The deviations of prime_sums(x)."""
+    return prime_sums(x).deviations

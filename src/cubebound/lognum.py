@@ -44,18 +44,19 @@ class LogNumber:
             return math.inf if self.sign > 0 else -math.inf
         return self.sign * math.exp(self.log_mag)
 
-    def to_sci(self, digits: int = 6) -> str:
-        """Scientific-notation string, usable far outside the float range."""
+    def to_sci(self) -> str:
+        """Scientific-notation string with 8 decimals, usable far outside the
+        float range."""
         if self.sign == 0:
             return "0"
         e10 = self.log_mag / _LN10
         exp10 = math.floor(e10)
         mant = 10.0 ** (e10 - exp10)
-        if round(mant, digits) >= 10.0:
+        if round(mant, 8) >= 10.0:
             mant /= 10.0
             exp10 += 1
         prefix = "-" if self.sign < 0 else ""
-        return f"{prefix}{mant:.{digits}f}e{exp10:+03d}"
+        return f"{prefix}{mant:.8f}e{exp10:+03d}"
 
     def __lt__(self, other: "LogNumber") -> bool:
         # one key, sign then signed log magnitude; total_ordering derives

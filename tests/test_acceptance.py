@@ -27,8 +27,8 @@ from cubebound import (
     ln_add,
     ln_mul,
     ln_sum,
-    mean_nu,
     optimize_alpha,
+    prime_sums,
     second_bound_detail,
     second_bound_term,
     weighted_tail,
@@ -208,7 +208,7 @@ def test_criterion_8_prime_sum_envelope(mertens_1e6):
     parts = []
     for x, dev in mertens_1e6:
         parts.append((f"|deviation| at x={x} is {abs(dev):.3f} <= 3", abs(dev) <= 3.0))
-    mean = mean_nu(10**6)
+    mean = prime_sums(10**6).mean_nu
     parts.append((f"mean nu(p) over p <= 1e6 is {mean:.4f} in 1.00 +/- 0.02",
                   abs(mean - 1.0) <= 0.02))
     criterion(8, "prime-sum estimate holds within the frozen envelope", parts)

@@ -242,7 +242,6 @@ def test_second_bound_sharper_at_133():
 
 def test_second_bound_detail_structure():
     detail = second_bound_detail(30, D321, 15)
-    assert detail.K == 15
     assert [c.k for c in detail.tilt_choices] == list(range(10, 15))
     assert detail.boundary_term.sign == 1
 

@@ -9,7 +9,7 @@ import pytest
 
 import cubebound
 from cubebound import (
-    DomainError, build_root_table, load_root_table, mean_nu, mertens_check, reproduction_checks,
+    DomainError, build_root_table, load_root_table, mertens_check, prime_sums, reproduction_checks,
 )
 from cubebound.aggregate import REFERENCE_LIMITS
 from cubebound.cli import main
@@ -269,7 +269,7 @@ def test_empirical_mertens_cli(capsys):
     # each deviation's error bound sits next to it
     assert [x for x, _ in result["deviation_bounds"]] == [10, 100, 1000]
     assert all(0 < b < 1e-10 for _, b in result["deviation_bounds"])
-    assert result["mean_nu"] == mean_nu(1000)
+    assert result["mean_nu"] == prime_sums(1000).mean_nu
 
 
 def test_reproduce_defaults_pass(capsys, default_report):

@@ -19,10 +19,10 @@ from cubebound import (
     factor_range,
     first_bound,
     load_root_table,
-    mean_nu,
     mertens_check,
     nu,
     nu_from_factors,
+    prime_sums,
     save_root_table,
 )
 from cubebound import empirical
@@ -172,7 +172,7 @@ def test_lockstep_splits_divide_and_are_proper():
     cases = []
     for _ in range(200):  # products of two primes above 1e6, below 2^63
         p = sympy.nextprime(rnd.randrange(10**6, 2 * 10**7))
-        q = sympy.nextprime(rnd.randrange(10**6, 10**12))
+        q = sympy.prevprime(rnd.randrange(10**6, (2**63 - 1) // p))
         cases.append((p * q, p, q))
     for _ in range(10):  # squares of primes above 2^29 split like any composite
         q = sympy.nextprime(rnd.randrange(2**29, 2**30 - 100))
@@ -199,6 +199,17 @@ def test_lockstep_whole_modulus_gcd_goes_scalar():
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
 
 
+def test_lane_kernels_refuse_moduli_outside_their_range():
+    # the lane add and REDC are exact only for odd moduli in (1, 2^63)
+    prime = 2**63 + 29
+    assert sympy.isprime(prime)
+    for kernel in (empirical._brent_lanes, empirical._bpsw_lanes):
+        with pytest.raises(DomainError, match="odd and in"):
+            kernel(np.array([15, prime], dtype=np.uint64))
+    with pytest.raises(DomainError, match="odd and in"):
+        empirical._brent_lanes(np.array([15, 21, 22], dtype=np.uint64))
+
+
 def test_pollard_brent_checks_every_divisor(monkeypatch):
     primes = empirical._prime_array(5000).tolist()[-300:]
     values = [p * q for p, q in zip(primes[::2], primes[1::2])]
@@ -215,6 +226,9 @@ def test_nu_spec_values():
     assert nu(29) == 1  # 29 == 2 (mod 3): cubing is a bijection
     assert nu(7) == 0  # cubes mod 7 are {0, 1, 6}; -2 == 5 is not one
     assert nu(31) == 3  # -2 is a cubic residue mod 31
+    assert nu(961) == 3  # 31^2: the three roots mod 31 lift
+    assert nu(999999937) == count_cubic_roots(999999937)  # the largest prime below 1e9
+    assert nu(10**9) == 0  # 2^9: no root mod 4
 
 
 def test_nu_small_direct():
@@ -262,6 +276,13 @@ def test_nu_validation():
         nu(2.0)
     with pytest.raises(DomainError):
         nu_from_factors({10: 1})
+    # every entry is checked, also after a prime with nu(p) = 0, in either order
+    for factors in ({7: 1, 4: 1}, {4: 1, 7: 1}):
+        with pytest.raises(DomainError, match="4 is not prime"):
+            nu_from_factors(factors)
+    for factors in ({7: 1, 11: "x"}, {7: 1, 5: 0}):
+        with pytest.raises(DomainError, match="exponent"):
+            nu_from_factors(factors)
     for e in (0, -1, 1.5):  # a prime power needs a positive integer exponent
         with pytest.raises(DomainError, match="exponent"):
             nu_from_factors({7: e})
@@ -924,7 +945,7 @@ def test_mertens_single_prime(mertens_oracle):
     assert dev == pytest.approx(math.log(2) / 2 - math.log(2), abs=1e-12)
     # the first two primes against the oracle, within their stated bounds
     for x in (2, 3):
-        assert _off_by(*empirical._prime_sums(x)[:2], mertens_oracle) == []
+        assert _off_by(*prime_sums(x)[:2], mertens_oracle) == []
 
 
 def _off_by(rows, bounds, want):
@@ -938,7 +959,7 @@ def test_mertens_matches_the_prime_loop_across_a_block(x, mertens_oracle):
     # 821,641 is the 65,536th prime, the last of a block
     assert 65_536 % empirical._PRIME_BLOCK == 0
     assert empirical._prime_array(x).tolist()[65_535:65_536] == ([821_641] if x >= 821_641 else [])
-    rows, bounds, _ = empirical._prime_sums(x)
+    rows, bounds, _ = prime_sums(x)
     assert rows == mertens_check(x)
     assert [c for c, _ in rows] == [10, 100, 1000, 10**4, 10**5, x]
     assert _off_by(rows, bounds, mertens_oracle) == []
@@ -958,7 +979,7 @@ PINNED_MERTENS_1E7 = [
 def test_mertens_pinned_deviations_1e7(mertens_oracle):
     # each pin lies within the stated bound of the deviation, and up to 1e6
     # within it of the 30-digit oracle too
-    rows, bounds, _ = empirical._prime_sums(10**7)
+    rows, bounds, _ = prime_sums(10**7)
     assert [x for x, _ in rows] == [x for x, _ in PINNED_MERTENS_1E7]
     assert 0 < min(bounds) and max(bounds) <= 1e-10
     assert _off_by(PINNED_MERTENS_1E7, bounds, {x: mpmath.mpf(dev) for x, dev in rows}) == []
@@ -966,7 +987,7 @@ def test_mertens_pinned_deviations_1e7(mertens_oracle):
 
 
 def test_mertens_oracle_check_fails_a_deviation_moved_by_twice_its_bound(mertens_oracle):
-    rows, bounds, _ = empirical._prime_sums(10**6)
+    rows, bounds, _ = prime_sums(10**6)
     assert _off_by(rows, bounds, mertens_oracle) == []
     moved = [(x, dev + 2 * b) for (x, dev), b in zip(rows, bounds)]
     assert _off_by(moved, bounds, mertens_oracle) == [10, 100, 1000, 10**4, 10**5, 10**6]
@@ -1009,10 +1030,9 @@ def test_numpy_log_is_within_the_assumed_ulps():
 def test_mean_nu_matches_the_prime_loop():
     for limit in (2, 3, 10, 10**5):
         primes = empirical._prime_array(limit).tolist()
-        assert mean_nu(limit) == sum(map(count_cubic_roots, primes)) / len(primes)
-    # the CLI's one pass: the mean runs over the primes up to x
-    rows, _, mean = empirical._prime_sums(10**5)
-    assert (rows, mean) == (mertens_check(10**5), mean_nu(10**5))
+        assert prime_sums(limit).mean_nu == sum(map(count_cubic_roots, primes)) / len(primes)
+    # mertens_check is the deviations of the same one pass
+    assert prime_sums(10**5).deviations == mertens_check(10**5)
 
 
 def test_mertens_deviations_bounded(mertens_1e6):
@@ -1022,28 +1042,29 @@ def test_mertens_deviations_bounded(mertens_1e6):
 
 
 def test_mean_nu_near_one():
-    assert mean_nu(10**6) == pytest.approx(1.0, abs=0.02)
+    assert prime_sums(10**6).mean_nu == pytest.approx(1.0, abs=0.02)
 
 
 def test_mertens_validation():
     with pytest.raises(DomainError):
         mertens_check(1)
-    for call in (lambda: mertens_check(1e3), lambda: mean_nu(1e3)):
+    for f in (mertens_check, prime_sums):
         with pytest.raises(DomainError, match="integer"):
-            call()
+            f(1e3)
     assert mertens_check(np.int64(100)) == mertens_check(100)
-    assert mean_nu(np.int64(1000)) == mean_nu(1000)
+    assert prime_sums(np.int64(1000)) == prime_sums(1000)
 
 
 def test_caps_are_checked_before_sieving():
     # a table above MAX_RANGE_TOP would save but never load; the prime sums
     # share one cap of 1e8
-    with pytest.raises(DomainError, match="capped"):
-        build_root_table(empirical.MAX_RANGE_TOP + 1)
+    for limit in (empirical.MAX_RANGE_TOP + 1, -5):
+        with pytest.raises(DomainError, match="capped"):
+            build_root_table(limit)
     with pytest.raises(DomainError, match="integer"):
         build_root_table(100.0)
     assert build_root_table(np.int64(100)) == build_root_table(100)
-    for f in (mertens_check, mean_nu):
+    for f in (mertens_check, prime_sums):
         with pytest.raises(DomainError, match="capped at 1e8"):
             f(10**8 + 1)
         with pytest.raises(DomainError, match="at least 2"):

@@ -109,12 +109,14 @@ def test_ordering(x, y):
 
 
 def test_to_sci():
-    assert from_real(6.02e23).to_sci(3) == "6.020e+23"
+    assert from_real(6.02e23).to_sci() == "6.02000000e+23"
     assert ZERO.to_sci() == "0"
-    assert from_real(-1.5e-10).to_sci(2) == "-1.50e-10"
+    assert from_real(-1.5e-10).to_sci() == "-1.50000000e-10"
     # far outside float range
     tiny = LogNumber(1, -1266.0)  # about 1e-550
-    assert tiny.to_sci(2).endswith("e-550")
+    assert tiny.to_sci().endswith("e-550")
+    # a mantissa that rounds up to 10 carries into the exponent
+    assert from_real(9.9999999996e5).to_sci() == "1.00000000e+06"
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
