@@ -816,10 +816,13 @@ def _sieved_segments(
     1e21 + 2 < 2^70, with at most 32 prime factors counted with
     multiplicity, so est = fl(n^3 + 2) divided by each division's prime
     takes at most 34 roundings (n^2 is exact): |est - m| < 34*2^-53*2^70 <
-    2^23. With m's rounding to a float (2^10), k = rint((est - m mod
-    2^64)/2^64) is exact; est further than 2^24 from m + k*2^64 raises
-    FactorizationError. Each prime that divided is tried again, in rounds:
-    q divides the residual where (m mod q + k*(2^64 mod q)) mod q is 0.
+    2^23 (the primes enter as float64, exact as p <= MAX_RANGE_TOP < 2^53,
+    since np.divide.at takes its fast loop only on one dtype). With m's
+    rounding to a float (2^10), k = rint((est - m mod 2^64)/2^64) is exact;
+    est further than 2^24 from m + k*2^64 raises FactorizationError. That is
+    how a wrong root shows, so the estimate runs on every segment, also where
+    every value is below 2^64. Each prime that divided is tried again, in
+    rounds: q divides the residual where (m mod q + k*(2^64 mod q)) mod q is 0.
     """
     base = job.x_min + 1
     p = table.p.astype(np.int64)
@@ -841,7 +844,7 @@ def _sieved_segments(
         np.multiply.at(m, at, inv)
         f = n.astype(np.float64)
         est = f * f * f + 2
-        np.divide.at(est, at, by)
+        np.divide.at(est, at, by.astype(np.float64))
         divisions = [(at, by)]
         while True:
             t = (est - m) * 2.0**-64
@@ -857,7 +860,7 @@ def _sieved_segments(
                 break
             divisions.append((at, by))
             np.multiply.at(m, at, inv)  # the quotient is exact, so it is m/q mod 2^64
-            np.divide.at(est, at, by)
+            np.divide.at(est, at, by.astype(np.float64))
         yield (lo, hi, m, k, *map(np.concatenate, zip(*divisions)))
 
 

@@ -199,6 +199,15 @@ def test_lockstep_whole_modulus_gcd_goes_scalar():
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
 
 
+def test_inverse_mod_2_64_against_pow():
+    # the sieve's exact low word and every Montgomery lane rest on it
+    edge = [1, 3, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1]
+    rnd = random.Random(27)
+    values = edge + [rnd.getrandbits(64) | 1 for _ in range(10_000)]
+    got = empirical._inverse_mod_2_64(np.array(values, dtype=np.uint64)).tolist()
+    assert got == [pow(a, -1, 2**64) for a in values]
+
+
 def test_lane_kernels_refuse_moduli_outside_their_range():
     # the lane add and REDC are exact only for odd moduli in (1, 2^63)
     prime = 2**63 + 29
@@ -712,6 +721,47 @@ def test_sieve_matches_sympy_at_every_segment_size(sieve_windows, segment_size, 
             )
             job = RangeJob(x_min, x_max, threshold, h)
             assert empirical_T(job, table) == want, (x_min, threshold, h)
+
+
+class _SameDtypeAt:
+    """A numpy ufunc whose .at asserts that target and operand share a dtype."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def at(self, a, indices, b):
+        assert a.dtype == b.dtype, (self.ufunc.__name__, str(a.dtype), str(b.dtype))
+        self.calls.append(self.ufunc.__name__)
+        self.ufunc.at(a, indices, b)
+
+
+def test_sieve_ufunc_at_stays_on_one_dtype(monkeypatch):
+    # numpy runs the fast loop of ufunc.at only on operands of one dtype, so
+    # the estimate divides by float64 primes: exact, as every table prime is
+    # at most MAX_RANGE_TOP < 2^53
+    assert MAX_RANGE_TOP < 2**53
+    table = build_root_table(300)
+    job = RangeJob(0, 300, threshold=2, h=0)
+    want = list(empirical._sieved_segments(job, table))
+    calls = []
+
+    class checked_numpy:
+        divide = _SameDtypeAt(np.divide, calls)
+        multiply = _SameDtypeAt(np.multiply, calls)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(empirical, "np", checked_numpy())
+    got = list(empirical._sieved_segments(job, table))
+    monkeypatch.undo()
+    # the first pass and at least one prime-power round, 5^3 among them
+    assert calls.count("divide") >= 3 and calls.count("multiply") == calls.count("divide")
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a[:2] == b[:2]
+        for x, y in zip(a[2:], b[2:]):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_sieve_rejects_a_residual_off_its_estimate():
