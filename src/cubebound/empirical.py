@@ -145,9 +145,9 @@ def _mr_int(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-# A primality batch pays numpy's per-call cost (about 11 ms for BPSW on
-# 57-bit count residuals, 78% of them prime) and one such value about
-# 0.115 ms on Python ints, so batches under _MR_BATCH_MIN are tested there;
+# A primality batch pays numpy's per-call cost (about 13 ms for BPSW on 100
+# to 300 count residuals of 49 bits, 75-80% of them prime) and one such value
+# about 0.1 ms on Python ints, so batches under _MR_BATCH_MIN are tested there;
 # the lockstep Brent walks hand their lanes over to Python ints (about 3 ms
 # of walk each) once fewer than _BRENT_BATCH_MIN remain.
 _MR_BATCH_MIN = 100
@@ -264,20 +264,41 @@ def _split_twos(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e // low, np.frexp(low.astype(np.float64))[1] - 1
 
 
+def _ragged(d: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The lane order, largest d first, and its rungs: (i, n) for each bit i
+    from the top down, where the first n lanes are those with d >= 2^i."""
+    order = np.argsort(d)[::-1]
+    top = int(d.max(initial=0)).bit_length()
+    below = np.searchsorted(d[order[::-1]], np.uint64(1) << np.arange(top, dtype=np.uint64))
+    return order, list(zip(range(top - 1, -1, -1), (d.size - below[::-1]).tolist()))
+
+
 def _strong_probable_primes(m: np.ndarray) -> np.ndarray:
-    """The strong probable-prime test to base 2 on each odd lane m > 2."""
-    mod = _Mont.of(m)
+    """The strong probable-prime test to base 2 on each odd lane m > 2.
+
+    With m - 1 = d * 2^s, the ladder takes x = 2^k from k = 0 over the bits
+    of d. Above a lane's top bit a rung squares x = 1, a no-op, so each rung
+    runs on _ragged's prefix. Closing round r squares the lanes with s > r.
+    """
     d, s = _split_twos(m - np.uint64(1))
-    x = mod.one
-    for i in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
-        x = mod.mul(x, x)
-        x = np.where((d >> np.uint64(i)) & np.uint64(1), mod.add(x, x), x)
-    minus_one = mod.m - mod.one
-    passes = (x == mod.one) | (x == minus_one)
+    order, rungs = _ragged(d)
+    mod, d = _Mont.of(m[order]), d[order]
+    x = mod.one[:0]
+    for i, n in rungs:
+        if n > x.size:  # lanes joining at their top bit, with x = 1
+            x, part = np.concatenate((x, mod.one[x.size : n])), mod.take(slice(n))
+        x = part.mul(x, x)
+        x <<= (d[:n] >> np.uint64(i)) & np.uint64(1)  # 2x on a set bit, below 2^64
+        x = np.minimum(x, x - part.m)  # x - m wraps above x unless x >= m
+    prime = np.empty(m.shape, dtype=bool)
+    prime[order] = (x == mod.one) | (x == mod.m - mod.one)
+    live, part = order, mod  # lane order[j] of m is lane j of part and x
     for r in range(1, int(s.max(initial=0))):
-        x = mod.mul(x, x)
-        passes |= (x == minus_one) & (s > r)
-    return passes
+        keep = s[live] > r
+        live, part, x = live[keep], part.take(keep), x[keep]
+        x = part.mul(x, x)
+        prime[live] |= x == part.m - part.one
+    return prime
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -306,12 +327,9 @@ def _strong_lucas_probable_primes(m: np.ndarray) -> np.ndarray:
     exists, fails, and so does a lane with (D/m) = 0 for some |D| != m.
 
     Every D is 1 mod 4, so (D/m) = (m mod |D| / |D|) by reciprocity, read
-    from one table per |D|. The ladder runs over the bits of d from k = 0
-    and keeps V_k, V_(k+1) and Q^k: V_2k = V_k^2 - 2Q^k and V_(2k+1) =
-    V_k V_(k+1) - Q^k. U_d is not kept: D U_d = 2V_(d+1) - V_d, and D is a
-    unit mod m. Q is a small signed constant per lane, put in Montgomery
-    form once by _Mont.times; on each rung a product by it costs less than
-    an add chain, which runs as long as the largest |Q| of the batch.
+    from one table per |D|. U_d is not kept: D U_d = 2V_(d+1) - V_d, and D
+    is a unit mod m. _lucas_ladder runs on the lanes with D = 5, then on the
+    rest; closing round r squares the lanes with s > r.
     """
     prime = np.ones(m.shape, dtype=bool)
     root = np.rint(np.sqrt(m.astype(np.float64))).astype(np.uint64)  # exact for squares below 2^63
@@ -329,25 +347,47 @@ def _strong_lucas_probable_primes(m: np.ndarray) -> np.ndarray:
     lanes = np.flatnonzero(prime)
     mod = _Mont.of(m[lanes])
     q = (1 - disc[lanes]) // 4
-    q_abs = mod.times(mod.one, np.abs(q).astype(np.uint64))
-    q_mont = np.where(q < 0, mod.sub(0, q_abs), q_abs)
     d, s = _split_twos(mod.m + np.uint64(1))
-    v, w, qk = mod.add(mod.one, mod.one), mod.one, mod.one  # V_0 = 2, V_1 = P, Q^0
-    for i in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
-        bit = ((d >> np.uint64(i)) & np.uint64(1)).astype(bool)
-        qk1 = mod.mul(qk, q_mont)  # Q^(k+1)
-        odd = mod.sub(mod.mul(v, w), qk)  # V_(2k+1)
-        x, qx = np.where(bit, w, v), np.where(bit, qk1, qk)
-        even = mod.sub(mod.mul(x, x), mod.add(qx, qx))  # V_2k, or V_(2k+2) on a set bit
-        v, w = np.where(bit, odd, even), np.where(bit, even, odd)
-        qk = mod.mul(qk, qx)
+    v, w, qk = np.empty((3, lanes.size), dtype=np.uint64)
+    for g in (np.flatnonzero(q == -1), np.flatnonzero(q != -1)):
+        order, rungs = _ragged(d[g])
+        g = g[order]
+        v[g], w[g], qk[g] = _lucas_ladder(mod.take(g), d[g], rungs, q[g])
     passes = (mod.add(w, w) == v) | (v == 0)
+    live, part = np.arange(lanes.size), mod
     for r in range(1, int(s.max(initial=0))):
-        v = mod.sub(mod.mul(v, v), mod.add(qk, qk))
-        qk = mod.mul(qk, qk)
-        passes |= (v == 0) & (s > r)
+        keep = s[live] > r
+        live, part, v, qk = live[keep], part.take(keep), v[keep], qk[keep]
+        v = part.sub(part.mul(v, v), part.add(qk, qk))  # V_2k = V_k^2 - 2Q^k
+        qk = part.mul(qk, qk)
+        passes[live] |= v == 0
     prime[lanes] = passes
     return prime
+
+
+def _lucas_ladder(mod: _Mont, d: np.ndarray, rungs: list[tuple[int, int]], q: np.ndarray):
+    """(V_d, V_(d+1), Q^d) with P = 1 on lanes in _ragged's order, by its rungs.
+
+    From k = 0 it keeps V_k, V_(k+1) and Q^k: V_2k = V_k^2 - 2Q^k and
+    V_(2k+1) = V_k V_(k+1) - Q^k. Above a lane's top bit a rung maps (2, 1,
+    1) = (V_0, V_1, Q^0) to (2^2 - 2, 2 - 1, 1), a no-op. Where every Q is
+    -1 (D = 5), Q^k = (-1)^k by the last bit read, with no product by Q; else
+    Q in Montgomery form (by _Mont.times, once) is cheaper than add chains.
+    """
+    unit = bool((q == -1).all())
+    q_abs = mod.times(mod.one, np.abs(q).astype(np.uint64))
+    q = np.where(q < 0, mod.sub(0, q_abs), q_abs)
+    v, w, qk = mod.add(mod.one, mod.one), mod.one.copy(), mod.one.copy()  # V_0 = 2, V_1 = P, Q^0
+    for i, n in rungs:
+        part, qk_n = mod.take(slice(n)), qk[:n]
+        bit = ((d[:n] >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        qk1 = part.sub(0, qk_n) if unit else part.mul(qk_n, q[:n])  # Q^(k+1)
+        odd = part.sub(part.mul(v[:n], w[:n]), qk_n)  # V_(2k+1)
+        x, qx = np.where(bit, w[:n], v[:n]), np.where(bit, qk1, qk_n)
+        even = part.sub(part.mul(x, x), part.add(qx, qx))  # V_2k, or V_(2k+2) on a set bit
+        v[:n], w[:n] = np.where(bit, odd, even), np.where(bit, even, odd)
+        qk[:n] = np.where(bit, part.m - part.one, part.one) if unit else part.mul(qk_n, qx)
+    return v, w, qk
 
 
 def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -111,6 +112,26 @@ _CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185
                5394826801, 232250619601, 9746347772161]
 
 
+def _ragged_lanes():
+    """One batch of odd lanes whose exponents differ as much as they can:
+    values of 2 to 63 bits, k * 2^s + 1 and k * 2^s - 1 (so m - 1 or m + 1
+    holds 2^s) for every s up to 61, prime and composite, the base-2 and
+    the strong Lucas pseudoprimes."""
+    rnd = random.Random(28)
+    lanes = [rnd.randrange(2**(bits - 1), 2**bits) | 1 for bits in range(2, 64) for _ in range(4)]
+    for s in range(1, 62):
+        for sign in (1, -1):
+            k = rnd.randrange(1, 2 ** (62 - s), 2)
+            lanes.append(k * 2**s + sign)
+            # and the next prime of the form below 2^63, where there is one
+            form = (j * 2**s + sign for j in range(k, 2 ** (63 - s), 2))
+            lanes += itertools.islice(filter(sympy.isprime, form), 1)
+    lanes += [2**61 - 1, 2**61 + 1, 2**62 - 1, 2**62 + 1, 2**62 + 2**61 + 1]
+    lanes += _BASE_2_PSEUDOPRIMES + _LUCAS_PSEUDOPRIMES
+    assert max(lanes) < 2**63
+    return lanes
+
+
 def _hard_primality_cases():
     rnd = random.Random(2024)
     near_2_31 = [sympy.prevprime(2**31), sympy.nextprime(2**31), sympy.nextprime(2**31 + 1000)]
@@ -118,7 +139,7 @@ def _hard_primality_cases():
     cases += [p * q for p in near_2_31 for q in near_2_31]  # p^2 and p*q
     cases += [2**63 + k for k in range(-301, 40, 2)]  # both sides of the lane limit
     cases += [rnd.randrange(2**(bits - 1), 2**bits) | 1 for bits in range(33, 64) for _ in range(12)]
-    return cases
+    return cases + _ragged_lanes()
 
 
 def test_certified_prime_batch_hard_cases_match_sympy(monkeypatch):
@@ -140,6 +161,9 @@ def test_certified_prime_batch_hard_cases_match_sympy(monkeypatch):
 _BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 2**32 + 1, 1093**2, 3511**2]
 _BASE_2_PSEUDOPRIMES += [2**p - 1 for p in (11, 23, 29, 37, 41, 43, 47, 53, 59)]
 _BASE_2_PSEUDOPRIMES += _LADDER_PSEUDOPRIMES
+# the strong Lucas pseudoprimes below 1e5 (Selfridge's parameters)
+_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+                       75077, 97439]
 
 
 def test_certified_prime_batch_rejects_base_2_pseudoprimes_and_squares(monkeypatch):
@@ -162,9 +186,65 @@ def test_lucas_kernel_is_selfridges_strong_lucas_test(monkeypatch):
     want = [is_strong_lucas_prp(n) for n in odd]
     assert empirical._strong_lucas_probable_primes(np.array(odd, dtype=np.uint64)).tolist() == want
     pseudoprimes = [n for n, passes in zip(odd, want) if passes and not sympy.isprime(n)]
-    assert pseudoprimes[:3] == [5459, 5777, 10877] and len(pseudoprimes) == 12
+    assert pseudoprimes == _LUCAS_PSEUDOPRIMES
     monkeypatch.setattr(empirical, "_MR_BATCH_MIN", 1)
     assert not any(is_certified_prime(pseudoprimes))  # base 2 rejects them
+    # ragged batches, lane by lane: every lane with D = 5 (Q = -1, m = +-2
+    # mod 5), none, and both mixed; both kernels take odd lanes above 2
+    ragged = _ragged_lanes()
+    for lanes in ([v for v in ragged if v % 5 in (2, 3)], [v for v in ragged if v % 5 in (0, 1, 4)],
+                  ragged):
+        m = np.array(lanes, dtype=np.uint64)
+        assert empirical._strong_probable_primes(m).tolist() == [
+            is_strong_probable_prime(v, 2) for v in lanes]
+        assert empirical._strong_lucas_probable_primes(m).tolist() == [
+            is_strong_lucas_prp(v) for v in lanes]
+
+
+def _bits_and_twos(e):
+    """(bit length of d, s) for e = d * 2^s with d odd."""
+    s = (e & -e).bit_length() - 1
+    return (e >> s).bit_length(), s
+
+
+def _selfridge_d(m):
+    """Selfridge's D for odd m, or None where the Lucas test rejects m first."""
+    if sympy.sqrt(m).is_integer:
+        return None
+    for a in itertools.count(5, 2):
+        d = a if a % 4 == 1 else -a
+        j = sympy.jacobi_symbol(d, m)
+        if j == -1:
+            return d
+        if j == 0 and a != m:
+            return None
+
+
+def test_bpsw_kernels_square_each_lane_only_as_its_exponents_need(monkeypatch):
+    """Lane-products of both kernels on a seeded batch, a count that does not
+    depend on the machine: each lane's ladder has one rung per bit of its
+    own d, closing squarings stop at its own s, and D = 5 lanes take no
+    products by Q."""
+    products = [0]
+    real = empirical._Mont.mul
+
+    def counted(self, a, b):
+        products[0] += a.size
+        return real(self, a, b)
+
+    monkeypatch.setattr(empirical._Mont, "mul", counted)
+    lanes = _ragged_lanes()[1:]  # odd lanes above 2
+    m = np.array(lanes, dtype=np.uint64)
+    empirical._strong_probable_primes(m)
+    assert products[0] == sum(b + s - 1 for b, s in map(_bits_and_twos, (v - 1 for v in lanes)))
+    products[0] = 0
+    empirical._strong_lucas_probable_primes(m)
+    want = 0
+    for v in lanes:
+        if (d := _selfridge_d(v)) is not None:
+            b, s = _bits_and_twos(v + 1)
+            want += (2 if d == 5 else 4) * b + 2 * (s - 1)
+    assert products[0] == want
 
 
 def test_lockstep_splits_divide_and_are_proper():
