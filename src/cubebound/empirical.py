@@ -283,13 +283,12 @@ def _strong_probable_primes(m: np.ndarray) -> np.ndarray:
     d, s = _split_twos(m - np.uint64(1))
     order, rungs = _ragged(d)
     mod, d = _Mont.of(m[order]), d[order]
-    x = mod.one[:0]
+    x = mod.one.copy()
     for i, n in rungs:
-        if n > x.size:  # lanes joining at their top bit, with x = 1
-            x, part = np.concatenate((x, mod.one[x.size : n])), mod.take(slice(n))
-        x = part.mul(x, x)
-        x <<= (d[:n] >> np.uint64(i)) & np.uint64(1)  # 2x on a set bit, below 2^64
-        x = np.minimum(x, x - part.m)  # x - m wraps above x unless x >= m
+        part, y = mod.take(slice(n)), x[:n]
+        y = part.mul(y, y)
+        y <<= (d[:n] >> np.uint64(i)) & np.uint64(1)  # 2y on a set bit, below 2^64
+        x[:n] = np.minimum(y, y - part.m)  # y - m wraps above y unless y >= m
     prime = np.empty(m.shape, dtype=bool)
     prime[order] = (x == mod.one) | (x == mod.m - mod.one)
     live, part = order, mod  # lane order[j] of m is lane j of part and x
