@@ -145,9 +145,10 @@ def _mr_int(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-# A primality batch pays numpy's per-call cost (about 13 ms for BPSW on 100
-# to 300 count residuals of 49 bits, 75-80% of them prime) and one such value
-# about 0.1 ms on Python ints, so batches under _MR_BATCH_MIN are tested there;
+# A primality batch pays numpy's per-call cost (12-20 ms for BPSW on 100 to
+# 300 count residuals of 49 bits, 75-80% of them prime) and one such value
+# about 0.1 ms on Python ints; the two meet between 100 and 200 values, and
+# batches under _MR_BATCH_MIN are tested on Python ints;
 # the lockstep Brent walks hand their lanes over to Python ints (about 3 ms
 # of walk each) once fewer than _BRENT_BATCH_MIN remain.
 _MR_BATCH_MIN = 100
