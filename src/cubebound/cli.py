@@ -12,15 +12,17 @@ The CLI parses arguments, calls the library and renders its results; it
 holds no reproduction constant. reproduce takes its defaults from
 AggregateConfig(), its verdict from aggregate.reproduction_checks, and its
 five quantities, with the rounding of their display (up for <=, down for
->=), from aggregate.REFERENCE_LIMITS. Every run prints one JSON document
-(manifest + result) to stdout; the human-readable summary derived from that
-document goes to stderr. Exit codes: 0 success/PASS, 1 usage error, 2
-computation failure (an unreadable or unwritable cache or an unwritable
---out file included), 3 reproduction FAIL (an --h-max that truncates the
-nonzero tail included). Documents are byte-reproducible when --timestamp is
-pinned. reproduce --jobs N is accepted and ignored; the pipeline runs
-serially. No command takes --rel-tol: every tilted integral is certified to
-1e-12 relative.
+>=), from aggregate.REFERENCE_LIMITS. Each parser names its handler, which
+returns the result and the exit code. Every run prints one JSON document
+(manifest + result) to stdout, whose manifest records every parsed option
+except --out and --timestamp, and except the ignored --jobs; the
+human-readable summary derived from that document goes to stderr. Exit
+codes: 0 success/PASS, 1 usage error, 2 computation failure (an unreadable
+or unwritable cache or an unwritable --out file included), 3 reproduction
+FAIL (an --h-max that truncates the nonzero tail included). Documents are
+byte-reproducible when --timestamp is pinned. reproduce --jobs N is
+accepted and ignored; the pipeline runs serially. No command takes
+--rel-tol: every tilted integral is certified to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -83,6 +86,7 @@ def build_parser() -> _Parser:
     bsub = bound.add_subparsers(dest="variant", required=True)
     for variant in ("first", "second"):
         bp = bsub.add_parser(variant, parents=[common])
+        bp.set_defaults(run=_cmd_bound, subcommand=variant)
         bp.add_argument("--h", type=int, required=True)
         bp.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
         if variant == "second":
@@ -99,6 +103,7 @@ def build_parser() -> _Parser:
         parents=[common],
         help="run the full pipeline and check the five reference constants",
     )
+    rep.set_defaults(run=_cmd_reproduce)
     rep.add_argument("--delta", type=_fraction_arg, default=paper.delta, metavar="P/Q")
     rep.add_argument("--H", type=int, default=paper.H)
     rep.add_argument("--split", type=int, default=paper.split_h)
@@ -108,6 +113,7 @@ def build_parser() -> _Parser:
     rep.add_argument("--jobs", type=int, help="accepted and ignored; the pipeline runs serially")
 
     emp = sub.add_parser("empirical", help="desk-scale counting and checks")
+    emp.set_defaults(run=_cmd_empirical)
     esub = emp.add_subparsers(dest="variant", required=True)
     cnt = esub.add_parser("count", parents=[common])
     cnt.add_argument("--x-min", type=int, required=True)
@@ -122,26 +128,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _manifest(command: str, parameters: dict, timestamp: str | None) -> dict:
+# parsed attributes that are not parameters of the computation
+_NOT_PARAMETERS = ("command", "variant", "out", "timestamp", "jobs", "run")
+
+
+def _manifest(args) -> dict:
     return {
-        "command": command,
-        "parameters": {k: str(v) for k, v in parameters.items()},
+        "command": " ".join(filter(None, (args.command, getattr(args, "variant", None)))),
+        "parameters": {k: str(v) for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
         "tool_version": __version__,
-        "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
+        "timestamp": args.timestamp or datetime.now(timezone.utc).isoformat(),
         "seed": None,  # every command is deterministic
     }
 
 
-def _cmd_bound(args) -> tuple[dict, dict, int]:
+def _cmd_bound(args) -> tuple[dict, int]:
     if args.variant == "first":
-        params = {"subcommand": "first", "h": args.h, "delta": args.delta}
         value = first_bound(args.h, args.delta)
         result = {"h": args.h, "delta": str(args.delta), "coefficient": _lognum_doc(value)}
     else:
-        params = {
-            "subcommand": "second", "h": args.h, "delta": args.delta,
-            "K_offset": args.K_offset, "alpha": args.alpha,
-        }
         K = clamped_K(args.h, args.K_offset)
         detail = second_bound_detail(args.h, args.delta, K, args.alpha)
         per_k = [
@@ -157,8 +162,7 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
             "boundary_term": _lognum_doc(detail.boundary_term),
             "per_k": per_k,
         }
-    manifest = _manifest(f"bound {args.variant}", params, args.timestamp)
-    return manifest, result, 0
+    return result, 0
 
 
 def _report_doc(report: AggregateReport) -> dict:
@@ -166,12 +170,8 @@ def _report_doc(report: AggregateReport) -> dict:
     return {
         "ok": report.ok,
         "failure": report.failure,
+        **{f.name: getattr(report, f.name) for f in fields(AggregateConfig)},
         "delta": str(report.delta),
-        "H": report.H,
-        "split_h": report.split_h,
-        "h_max": report.h_max,
-        "K_offset": report.K_offset,
-        "S_lower": report.S_lower,
         **{name: _lognum_doc(value) for name, value, _ in rows},
         "margin": _lognum_doc(report.margin),
         "count_proportion": _lognum_doc(report.count_proportion),
@@ -191,11 +191,7 @@ def _report_doc(report: AggregateReport) -> dict:
     }
 
 
-def _cmd_reproduce(args) -> tuple[dict, dict, int]:
-    params = {
-        "delta": args.delta, "H": args.H, "split": args.split,
-        "h_max": args.h_max, "K_offset": args.K_offset, "s_lower": args.s_lower,
-    }
+def _cmd_reproduce(args) -> tuple[dict, int]:
     cfg = AggregateConfig(
         delta=args.delta,
         H=args.H,
@@ -211,29 +207,17 @@ def _cmd_reproduce(args) -> tuple[dict, dict, int]:
         "checks": checks,
         "overall_pass": overall,
     }
-    manifest = _manifest("reproduce", params, args.timestamp)
-    return manifest, result, 0 if overall else 3
+    return result, 0 if overall else 3
 
 
-def _cmd_empirical(args) -> tuple[dict, dict, int]:
-    # imported here so that bound and reproduce runs never load numpy
-    from .empirical import (
-        RangeJob,
-        build_root_table,
-        empirical_T,
-        load_root_table,
-        nu,
-        prime_sums,
-        save_root_table,
-    )
+def _cmd_empirical(args) -> tuple[dict, int]:
+    from . import empirical  # here, so that bound and reproduce runs never load numpy
 
     if args.variant == "nu":
-        manifest = _manifest("empirical nu", {"d": args.d}, args.timestamp)
-        return manifest, {"d": args.d, "nu": nu(args.d)}, 0
+        return {"d": args.d, "nu": empirical.nu(args.d)}, 0
 
     if args.variant == "mertens":
-        manifest = _manifest("empirical mertens", {"limit": args.limit}, args.timestamp)
-        sums = prime_sums(args.limit)
+        sums = empirical.prime_sums(args.limit)
         result = {
             "limit": args.limit,
             "deviations": [[x, dev] for x, dev in sums.deviations],
@@ -241,28 +225,24 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
             "max_abs_deviation": max(abs(dev) for _, dev in sums.deviations),
             "mean_nu": sums.mean_nu,
         }
-        return manifest, result, 0
+        return result, 0
 
-    params = {
-        "x_min": args.x_min, "x_max": args.x_max, "threshold": args.threshold,
-        "h": args.h, "cache": args.cache,
-    }
-    job = RangeJob(x_min=args.x_min, x_max=args.x_max, threshold=args.threshold, h=args.h)
+    job = empirical.RangeJob(x_min=args.x_min, x_max=args.x_max, threshold=args.threshold, h=args.h)
     table = None
     if args.cache:
         if os.path.exists(args.cache):
             try:
-                table = load_root_table(args.cache)
+                table = empirical.load_root_table(args.cache)
             except DomainError as exc:
                 print(f"warning: rebuilding root-table cache: {exc}", file=sys.stderr)
         if table is None or table.limit < job.count_limit:
-            table = build_root_table(job.count_limit)
-            save_root_table(args.cache, table)
+            table = empirical.build_root_table(job.count_limit)
+            empirical.save_root_table(args.cache, table)
 
     def progress(lo: int, hi: int) -> None:
         print(f"segment {lo}..{hi} done", file=sys.stderr)
 
-    count = empirical_T(job, table, progress=progress)
+    count = empirical.empirical_T(job, table, progress=progress)
     result = {
         "x_min": job.x_min, "x_max": job.x_max, "threshold": job.threshold,
         "h": job.h, "count": count, "scanned": job.x_max - job.x_min,
@@ -271,8 +251,7 @@ def _cmd_empirical(args) -> tuple[dict, dict, int]:
             "terms that are material at this range size"
         ),
     }
-    manifest = _manifest("empirical count", params, args.timestamp)
-    return manifest, result, 0
+    return result, 0
 
 
 def _render_human(manifest: dict, result: dict) -> str:
@@ -314,12 +293,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "bound":
-            manifest, result, code = _cmd_bound(args)
-        elif args.command == "reproduce":
-            manifest, result, code = _cmd_reproduce(args)
-        else:
-            manifest, result, code = _cmd_empirical(args)
+        result, code = args.run(args)
+        manifest = _manifest(args)
         document = json.dumps({"manifest": manifest, "result": result},
                               sort_keys=True, indent=2) + "\n"
         if args.out:

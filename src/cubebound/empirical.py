@@ -145,11 +145,13 @@ def _mr_int(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues fit
-# A primality batch pays numpy's per-call cost (12-20 ms for BPSW on 100 to
+# A primality batch pays numpy's per-call cost (10-12 ms for BPSW on 100 to
 # 300 count residuals of 49 bits, 75-80% of them prime) and one such value
-# about 0.1 ms on Python ints; the two meet between 100 and 200 values, and
-# batches under _MR_BATCH_MIN are tested on Python ints;
-# the lockstep Brent walks hand their lanes over to Python ints (about 3 ms
+# about 0.08 ms on Python ints, so the two meet between 100 and 150 values.
+# Batches under _MR_BATCH_MIN are tested on Python ints. The benchmark's
+# batches hold 7,000-20,000 values; the tests make the small ones, and take
+# 73 s instead of 51 s with every batch on lanes.
+# The lockstep Brent walks hand their lanes over to Python ints (about 3 ms
 # of walk each) once fewer than _BRENT_BATCH_MIN remain.
 _MR_BATCH_MIN = 100
 _BRENT_BATCH_MIN = 100
@@ -398,7 +400,8 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     Returns each lane's divisor, 0 where the gcd was the whole lane (the
     scalar path backtracks or changes c), and the walk state (x, y, q, r, k)
     of the lanes still open when fewer than _BRENT_BATCH_MIN remain, which
-    is at once when fewer are given.
+    is at once when fewer are given, or when the next round would pass the
+    _brent_cap of the largest lane.
     """
     divisors = [0] * m.size
     lanes = np.arange(m.size)
@@ -406,7 +409,8 @@ def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     x, y, q = mod.times(mod.one, 2), mod.times(mod.one, 5), mod.one
     r = 1
     k = 0
-    while lanes.size >= _BRENT_BATCH_MIN:
+    cap = _brent_cap(int(m.max(initial=1)))
+    while lanes.size >= _BRENT_BATCH_MIN and (k < r or 2 * r <= cap):
         if k >= r:
             x, r, k = y, 2 * r, 0
             for _ in range(r):
@@ -747,19 +751,39 @@ class FactorProfile:
         return sum(e for p, e in self.factors if p >= t)
 
 
+def _brent_cap(v: int) -> int:
+    """The longest round a walk on v may take: 8 v^(1/4), and at least 2^12.
+
+    Round r compares x with the r terms after the r it skips, so it ends
+    with gcd 1 only if, for every prime factor p of v, the tail or the cycle
+    of the walk mod p is longer than 2r. For a random map their sum passes
+    t sqrt(p) with chance exp(-t^2/2), and some p <= sqrt(v), so a composite
+    v passes the cap with chance below exp(-32); no round of the benchmark's
+    factor windows passed 1.8 v^(1/4). A walk closes its cycle mod v before
+    r passes v, so the floor refuses no v up to 2^12. Only a prime v, which
+    rho cannot split, reaches the cap.
+    """
+    return max(1 << 12, 8 * math.isqrt(math.isqrt(v)))
+
+
 def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
     """A non-trivial divisor of odd composite v (Brent's cycle variant with a
     deterministic parameter march, so output streams are reproducible).
 
     The walk for c = 1 starts from resume, a state (x, y, q, r, k) that
-    _brent_lanes reached, when one is given.
+    _brent_lanes reached, when one is given. A walk whose next round would
+    pass _brent_cap(v) raises FactorizationError: v is then almost surely
+    prime, and every other c would walk as far in vain.
     """
+    cap = _brent_cap(v)
     for c in range(1, 41):
         # round r: x is fixed, y has taken k of its r gcd-tracked steps
         x, y, q, r, k = resume if resume and c == 1 else (2, (4 + c) % v, 1, 1, 0)
         g = 1
         while g == 1:
             if k >= r:
+                if 2 * r > cap:
+                    raise FactorizationError(n, f"no split of cofactor {v} by round {r}")
                 x, r, k = y, 2 * r, 0
                 for _ in range(r):
                     y = (y * y + c) % v

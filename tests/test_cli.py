@@ -47,6 +47,49 @@ def test_bound_first_basic(capsys):
     assert "coefficient" in err
 
 
+_REPRODUCE = {"delta": "1/321", "H": "132", "split": "190", "h_max": "963", "K_offset": "20",
+              "s_lower": "9.2e-08"}
+_BOUND = {"h": "133", "delta": "1/321"}
+_COUNT = {"x_min": "1000", "x_max": "3000", "threshold": "17", "h": "2"}
+
+
+@pytest.mark.parametrize("argv, command, parameters", [
+    ("reproduce", "reproduce", _REPRODUCE),
+    ("reproduce --h-max 189", "reproduce", {**_REPRODUCE, "h_max": "189"}),
+    ("reproduce --s-lower 0", "reproduce", {**_REPRODUCE, "s_lower": "0.0"}),
+    ("reproduce --H 120", "reproduce", {**_REPRODUCE, "H": "120"}),
+    ("reproduce --jobs 2 --split 180 --K-offset 19 --delta 1/300", "reproduce",
+     {**_REPRODUCE, "split": "180", "K_offset": "19", "delta": "1/300"}),
+    ("bound first --h 300 --delta 1/321", "bound first",
+     {"subcommand": "first", "h": "300", "delta": "1/321"}),
+    ("bound first --h 3 --delta 1/321 --out doc.json", "bound first",
+     {"subcommand": "first", "h": "3", "delta": "1/321"}),
+    ("bound second --h 133 --delta 1/321", "bound second",
+     {"subcommand": "second", **_BOUND, "K_offset": "20", "alpha": "None"}),
+    ("bound second --h 150 --delta 1/321 --alpha 3.5 --K-offset 7", "bound second",
+     {"subcommand": "second", "h": "150", "delta": "1/321", "K_offset": "7", "alpha": "3.5"}),
+    ("empirical count --x-min 1000 --x-max 3000 --threshold 17 --h 2", "empirical count",
+     {**_COUNT, "cache": "None"}),
+    ("empirical count --x-min 1000 --x-max 3000 --threshold 17 --h 2 --cache roots.bin",
+     "empirical count", {**_COUNT, "cache": "roots.bin"}),
+    ("empirical mertens --limit 100000", "empirical mertens", {"limit": "100000"}),
+    ("empirical nu --d 31", "empirical nu", {"d": "31"}),
+    ("empirical nu --d 1000000000", "empirical nu", {"d": "1000000000"}),
+])
+def test_manifest_records_every_parsed_option(
+    capsys, tmp_path, monkeypatch, argv, command, parameters
+):
+    # every option but --out, --timestamp and the ignored --jobs, defaults
+    # included, stringified as the command saw it
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv.split(), "--timestamp", "T")
+    assert code in (0, 3)
+    assert doc_of(out)["manifest"] == {
+        "command": command, "parameters": parameters,
+        "tool_version": cubebound.__version__, "timestamp": "T", "seed": None,
+    }
+
+
 def test_bound_first_empty_region(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "first", "--h", "964", "--delta", "1/321", "--timestamp", "T"

@@ -299,6 +299,32 @@ def test_lane_kernels_refuse_moduli_outside_their_range():
         empirical._brent_lanes(np.array([15, 21, 22], dtype=np.uint64))
 
 
+def test_pollard_brent_on_a_prime_raises_at_the_round_cap():
+    # a wrong primality verdict hands rho a prime, whose walks would run for
+    # about sqrt(v) steps per c: the walk stops when its next round would
+    # pass _brent_cap, on Python ints and in lockstep alike
+    prime = sympy.prevprime(2**60)
+    with pytest.raises(FactorizationError, match=f"^n=7: no split of cofactor {prime} by"):
+        empirical._pollard_brent([prime], [7])
+    # 100 lanes step in lockstep at about 50 us a step, so near 2^60 they
+    # would take a minute to reach the cap; near 2^40 they take seconds
+    batch = [sympy.nextprime(2**40)]
+    while len(batch) < empirical._BRENT_BATCH_MIN:
+        batch.append(sympy.nextprime(batch[-1]))
+    cap = empirical._brent_cap(batch[-1])
+    assert cap == 8 * 2**10
+    found, states = empirical._brent_lanes(np.array(batch, dtype=np.uint64))
+    assert found == [0] * len(batch)
+    assert {state[3:] for state in states.values()} == {(cap, cap)}  # round r = cap is complete
+    ns = range(100, 100 + len(batch))
+    with pytest.raises(FactorizationError, match=f"^n=100: no split of cofactor {batch[0]} by"):
+        empirical._pollard_brent(batch, ns)
+    # the floor: small odd composites all split below it
+    for v in (9, 15, 4087, 4089, 4095):
+        d = empirical._brent_int(v, v)
+        assert 1 < d < v and v % d == 0
+
+
 def test_pollard_brent_checks_every_divisor(monkeypatch):
     primes = empirical._prime_array(5000).tolist()[-300:]
     values = [p * q for p, q in zip(primes[::2], primes[1::2])]

@@ -3,8 +3,10 @@
     python3 tools/compare_documents.py REV
 
 Extracts the committed tree of REV into a temporary directory (git
-archive), runs every command of COMMANDS there and in this checkout with a
-pinned --timestamp, and compares the stdout, stderr and exit code of each.
+archive), runs every command of COMMANDS on its sources and on those of this
+checkout with a pinned --timestamp, each run in a fresh empty working
+directory (so --cache and --out files land there), and compares the
+stdout, stderr and exit code of each.
 Prints one line per command and a unified diff of each difference, removes
 the temporary tree, and exits 1 if any command differs, else 0 (2 when REV
 cannot be read). Needs git and the standard library only.
@@ -32,10 +34,12 @@ COMMANDS = (
     "reproduce --jobs 2 --split 180 --K-offset 19 --delta 1/300",
     "bound first --h 300 --delta 1/321",
     "bound first --h 2 --delta 1/321",
+    "bound first --h 3 --delta 1/321 --out doc.json",
     "bound second --h 133 --delta 1/321",
     "bound second --h 150 --delta 1/321 --alpha 3.5 --K-offset 7",
     "bound second --h 2 --delta 3/2",
     "empirical count --x-min 1000 --x-max 3000 --threshold 17 --h 2",
+    "empirical count --x-min 1000 --x-max 3000 --threshold 17 --h 2 --cache roots.bin",
     "empirical mertens --limit 100000",
     "empirical nu --d 31",
     "empirical nu --d 999999937",
@@ -44,12 +48,14 @@ COMMANDS = (
 
 
 def run(tree: Path, command: str) -> tuple[str, str, int]:
-    """stdout, stderr and exit code of one CLI command on the sources of tree."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubebound", *command.split(), "--timestamp", TIMESTAMP],
-        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        capture_output=True, text=True,
-    )
+    """stdout, stderr and exit code of one CLI command on the sources of tree,
+    run in a fresh empty working directory."""
+    with tempfile.TemporaryDirectory(prefix="compare-documents-run-") as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubebound", *command.split(), "--timestamp", TIMESTAMP],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            capture_output=True, text=True,
+        )
     return proc.stdout, proc.stderr, proc.returncode
 
 
