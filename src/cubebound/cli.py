@@ -171,7 +171,7 @@ def _report_doc(report: AggregateReport) -> dict:
         "ok": report.ok,
         "failure": report.failure,
         **{f.name: getattr(report, f.name) for f in fields(AggregateConfig)},
-        "delta": str(report.delta),
+        "delta": str(report.delta),  # a Fraction is not JSON
         **{name: _lognum_doc(value) for name, value, _ in rows},
         "margin": _lognum_doc(report.margin),
         "count_proportion": _lognum_doc(report.count_proportion),
@@ -227,7 +227,7 @@ def _cmd_empirical(args) -> tuple[dict, int]:
         }
         return result, 0
 
-    job = empirical.RangeJob(x_min=args.x_min, x_max=args.x_max, threshold=args.threshold, h=args.h)
+    job = empirical.RangeJob(args.x_min, args.x_max, args.threshold, args.h)
     table = None
     if args.cache:
         if os.path.exists(args.cache):

@@ -755,13 +755,13 @@ def _brent_cap(v: int) -> int:
     """The longest round a walk on v may take: 8 v^(1/4), and at least 2^12.
 
     Round r compares x with the r terms after the r it skips, so it ends
-    with gcd 1 only if, for every prime factor p of v, the tail or the cycle
-    of the walk mod p is longer than 2r. For a random map their sum passes
-    t sqrt(p) with chance exp(-t^2/2), and some p <= sqrt(v), so a composite
-    v passes the cap with chance below exp(-32); no round of the benchmark's
-    factor windows passed 1.8 v^(1/4). A walk closes its cycle mod v before
-    r passes v, so the floor refuses no v up to 2^12. Only a prime v, which
-    rho cannot split, reaches the cap.
+    with gcd 1 only if, for every prime factor p of v, the tail or the
+    cycle of the walk mod p is longer than about 2r. For a random map their
+    sum passes t sqrt(p) with chance exp(-t^2/2), and some p <= sqrt(v), so
+    a composite v passes the cap with chance below exp(-32); no round of the
+    benchmark's factor windows passed 1.8 v^(1/4). A walk closes its cycle
+    mod v before r passes v, so the floor refuses no v up to 2^12. Only a
+    prime v, which rho cannot split, reaches the cap.
     """
     return max(1 << 12, 8 * math.isqrt(math.isqrt(v)))
 

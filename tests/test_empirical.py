@@ -307,7 +307,7 @@ def test_pollard_brent_on_a_prime_raises_at_the_round_cap():
     with pytest.raises(FactorizationError, match=f"^n=7: no split of cofactor {prime} by"):
         empirical._pollard_brent([prime], [7])
     # 100 lanes step in lockstep at about 50 us a step, so near 2^60 they
-    # would take a minute to reach the cap; near 2^40 they take seconds
+    # would take about 30 s to reach the cap; near 2^40 they take seconds
     batch = [sympy.nextprime(2**40)]
     while len(batch) < empirical._BRENT_BATCH_MIN:
         batch.append(sympy.nextprime(batch[-1]))
@@ -319,10 +319,12 @@ def test_pollard_brent_on_a_prime_raises_at_the_round_cap():
     ns = range(100, 100 + len(batch))
     with pytest.raises(FactorizationError, match=f"^n=100: no split of cofactor {batch[0]} by"):
         empirical._pollard_brent(batch, ns)
-    # the floor: small odd composites all split below it
-    for v in (9, 15, 4087, 4089, 4095):
-        d = empirical._brent_int(v, v)
-        assert 1 < d < v and v % d == 0
+    # below the floor every walk closes its cycle mod v in time
+    assert empirical._brent_cap(2**36 - 1) == 2**12
+    for v in range(9, 2**12, 2):
+        if not sympy.isprime(v):
+            d = empirical._brent_int(v, v)
+            assert 1 < d < v and v % d == 0, v
 
 
 def test_pollard_brent_checks_every_divisor(monkeypatch):
