@@ -73,8 +73,7 @@ class AggregateConfig:
                 f"need H < split_h <= h_max+1, got H={self.H}, "
                 f"split_h={self.split_h}, h_max={self.h_max}"
             )
-        if self.K_offset < 1:
-            raise DomainError(f"K_offset must be at least 1, got {self.K_offset}")
+        clamped_K(self.split_h, self.K_offset)  # checks K_offset
         if not 0.0 <= self.S_lower < math.inf:
             raise DomainError(f"S_lower must be finite and non-negative, got {self.S_lower}")
 

@@ -197,7 +197,10 @@ class SecondBoundDetail:
 
 
 def clamped_K(h: int, K_offset: int) -> int:
-    """K = [h/3] + K_offset, clamped to h-1, the largest K a tilted bound admits."""
+    """K = [h/3] + K_offset, clamped to h-1, the largest K a tilted bound admits;
+    K_offset >= 1 makes K > [h/3] for every h >= 3, so no tilted sum is empty."""
+    if K_offset < 1:
+        raise DomainError(f"K_offset must be at least 1, got {K_offset}")
     return min(h // 3 + K_offset, h - 1)
 
 

@@ -12,11 +12,11 @@ The CLI parses arguments, calls the library and renders its results; it
 holds no reproduction constant. reproduce takes its defaults from
 AggregateConfig(), its verdict from aggregate.reproduction_checks, and its
 five quantities, with the rounding of their display (up for <=, down for
->=), from aggregate.REFERENCE_LIMITS. Each parser names its handler, which
-returns the result and the exit code. Every run prints one JSON document
-(manifest + result) to stdout, whose manifest records every parsed option
-except --out and --timestamp, and except the ignored --jobs; the
-human-readable summary derived from that document goes to stderr. Exit
+>=), from aggregate.REFERENCE_LIMITS. Each leaf parser names the handler
+that returns its result, exit code and summary lines. Every run prints one
+JSON document (manifest + result) to stdout, whose manifest records every
+parsed option except --out and --timestamp, and except the ignored --jobs;
+stderr gets the header line "# <command> (<timestamp>)" and the summary. Exit
 codes: 0 success/PASS, 1 usage error, 2 computation failure (an unreadable
 or unwritable cache or an unwritable --out file included), 3 reproduction
 FAIL (an --h-max that truncates the nonzero tail included). Documents are
@@ -84,26 +84,21 @@ def build_parser() -> _Parser:
 
     bound = sub.add_parser("bound", help="evaluate one bound coefficient")
     bsub = bound.add_subparsers(dest="variant", required=True)
-    for variant in ("first", "second"):
-        bp = bsub.add_parser(variant, parents=[common])
-        bp.set_defaults(run=_cmd_bound, subcommand=variant)
-        bp.add_argument("--h", type=int, required=True)
-        bp.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
-        if variant == "second":
-            bp.add_argument("--K-offset", dest="K_offset", type=int, default=paper.K_offset)
-            bp.add_argument(
-                "--alpha",
-                type=float,
-                default=None,
-                help="fixed tilt for every k-term instead of optimising",
-            )
+    first = bsub.add_parser("first", parents=[common])
+    first.set_defaults(run=_bound_first, subcommand="first")
+    first.add_argument("--h", type=int, required=True)
+    first.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
+    second = bsub.add_parser("second", parents=[common])
+    second.set_defaults(run=_bound_second, subcommand="second")
+    second.add_argument("--h", type=int, required=True)
+    second.add_argument("--delta", type=_fraction_arg, required=True, metavar="P/Q")
+    second.add_argument("--K-offset", dest="K_offset", type=int, default=paper.K_offset)
+    second.add_argument("--alpha", type=float, default=None,
+                        help="fixed tilt for every k-term instead of optimising")
 
-    rep = sub.add_parser(
-        "reproduce",
-        parents=[common],
-        help="run the full pipeline and check the five reference constants",
-    )
-    rep.set_defaults(run=_cmd_reproduce)
+    rep = sub.add_parser("reproduce", parents=[common],
+                         help="run the full pipeline and check the five reference constants")
+    rep.set_defaults(run=_reproduce)
     rep.add_argument("--delta", type=_fraction_arg, default=paper.delta, metavar="P/Q")
     rep.add_argument("--H", type=int, default=paper.H)
     rep.add_argument("--split", type=int, default=paper.split_h)
@@ -113,17 +108,19 @@ def build_parser() -> _Parser:
     rep.add_argument("--jobs", type=int, help="accepted and ignored; the pipeline runs serially")
 
     emp = sub.add_parser("empirical", help="desk-scale counting and checks")
-    emp.set_defaults(run=_cmd_empirical)
     esub = emp.add_subparsers(dest="variant", required=True)
     cnt = esub.add_parser("count", parents=[common])
+    cnt.set_defaults(run=_empirical_count)
     cnt.add_argument("--x-min", type=int, required=True)
     cnt.add_argument("--x-max", type=int, required=True)
     cnt.add_argument("--threshold", type=int, required=True)
     cnt.add_argument("--h", type=int, required=True)
     cnt.add_argument("--cache", help="binary (prime, root) table cache path")
     mer = esub.add_parser("mertens", parents=[common])
+    mer.set_defaults(run=_empirical_mertens)
     mer.add_argument("--limit", type=int, required=True)
     nup = esub.add_parser("nu", parents=[common])
+    nup.set_defaults(run=_empirical_nu)
     nup.add_argument("--d", type=int, required=True)
     return parser
 
@@ -142,27 +139,35 @@ def _manifest(args) -> dict:
     }
 
 
-def _cmd_bound(args) -> tuple[dict, int]:
-    if args.variant == "first":
-        value = first_bound(args.h, args.delta)
-        result = {"h": args.h, "delta": str(args.delta), "coefficient": _lognum_doc(value)}
-    else:
-        K = clamped_K(args.h, args.K_offset)
-        detail = second_bound_detail(args.h, args.delta, K, args.alpha)
-        per_k = [
-            {
-                "k": c.k, "alpha": c.alpha, "evaluations": c.evaluations,
-                "term": _lognum_doc(c.term_value),
-            }
-            for c in detail.tilt_choices
-        ]
-        result = {
-            "h": args.h, "delta": str(args.delta), "K": K,
-            "coefficient": _lognum_doc(detail.total),
-            "boundary_term": _lognum_doc(detail.boundary_term),
-            "per_k": per_k,
+def _coefficient_line(x: LogNumber) -> str:
+    return f"coefficient = {x.to_sci()}  (sign {x.sign}, log_mag {x.log_mag:.6f})"
+
+
+def _bound_first(args) -> tuple[dict, int, list[str]]:
+    value = first_bound(args.h, args.delta)
+    result = {"h": args.h, "delta": str(args.delta), "coefficient": _lognum_doc(value)}
+    return result, 0, [_coefficient_line(value)]
+
+
+def _bound_second(args) -> tuple[dict, int, list[str]]:
+    K = clamped_K(args.h, args.K_offset)
+    detail = second_bound_detail(args.h, args.delta, K, args.alpha)
+    per_k = [
+        {
+            "k": c.k, "alpha": c.alpha, "evaluations": c.evaluations,
+            "term": _lognum_doc(c.term_value),
         }
-    return result, 0
+        for c in detail.tilt_choices
+    ]
+    result = {
+        "h": args.h, "delta": str(args.delta), "K": K,
+        "coefficient": _lognum_doc(detail.total),
+        "boundary_term": _lognum_doc(detail.boundary_term),
+        "per_k": per_k,
+    }
+    summary = [f"  k={c.k:>3}  alpha={c.alpha:.6g}  term={c.term_value.to_sci()}"
+               for c in detail.tilt_choices]
+    return result, 0, [_coefficient_line(detail.total), *summary]
 
 
 def _report_doc(report: AggregateReport) -> dict:
@@ -191,41 +196,48 @@ def _report_doc(report: AggregateReport) -> dict:
     }
 
 
-def _cmd_reproduce(args) -> tuple[dict, int]:
-    cfg = AggregateConfig(
-        delta=args.delta,
-        H=args.H,
-        split_h=args.split,
-        h_max=args.h_max,
-        K_offset=args.K_offset,
-        S_lower=args.s_lower,
-    )
+def _reproduce(args) -> tuple[dict, int, list[str]]:
+    cfg = AggregateConfig(delta=args.delta, H=args.H, split_h=args.split, h_max=args.h_max,
+                          K_offset=args.K_offset, S_lower=args.s_lower)
     report = final_constants(cfg)
     checks, overall = reproduction_checks(report)
-    result = {
-        "report": _report_doc(report),
-        "checks": checks,
-        "overall_pass": overall,
-    }
-    return result, 0 if overall else 3
+    doc = _report_doc(report)
+    result = {"report": doc, "checks": checks, "overall_pass": overall}
+    summary = [f"{name:>12} = {doc[name]['sci']}  (display {shown})"
+               for name, shown in doc["display"].items()]
+    summary += [f"{'PASS' if c['passed'] else 'FAIL'}: {c['name']}  [{c['computed']}]"
+                for c in checks]
+    summary.append("overall: " + ("PASS" if overall else "FAIL"))
+    if report.failure:
+        summary.append(f"failure: {report.failure}")
+    return result, 0 if overall else 3, summary
 
 
-def _cmd_empirical(args) -> tuple[dict, int]:
+def _empirical_nu(args) -> tuple[dict, int, list[str]]:
     from . import empirical  # here, so that bound and reproduce runs never load numpy
 
-    if args.variant == "nu":
-        return {"d": args.d, "nu": empirical.nu(args.d)}, 0
+    nu = empirical.nu(args.d)
+    return {"d": args.d, "nu": nu}, 0, [f"nu({args.d}) = {nu}"]
 
-    if args.variant == "mertens":
-        sums = empirical.prime_sums(args.limit)
-        result = {
-            "limit": args.limit,
-            "deviations": [[x, dev] for x, dev in sums.deviations],
-            "deviation_bounds": [[x, b] for (x, _), b in zip(sums.deviations, sums.bounds)],
-            "max_abs_deviation": max(abs(dev) for _, dev in sums.deviations),
-            "mean_nu": sums.mean_nu,
-        }
-        return result, 0
+
+def _empirical_mertens(args) -> tuple[dict, int, list[str]]:
+    from . import empirical
+
+    sums = empirical.prime_sums(args.limit)
+    result = {
+        "limit": args.limit,
+        "deviations": [[x, dev] for x, dev in sums.deviations],
+        "deviation_bounds": [[x, b] for (x, _), b in zip(sums.deviations, sums.bounds)],
+        "max_abs_deviation": max(abs(dev) for _, dev in sums.deviations),
+        "mean_nu": sums.mean_nu,
+    }
+    summary = [f"  x={x:>10}  deviation={dev:+.6f}" for x, dev in sums.deviations]
+    return result, 0, [*summary, f"max |deviation| = {result['max_abs_deviation']:.6f}",
+                       f"mean nu(p) = {sums.mean_nu:.6f}"]
+
+
+def _empirical_count(args) -> tuple[dict, int, list[str]]:
+    from . import empirical
 
     job = empirical.RangeJob(args.x_min, args.x_max, args.threshold, args.h)
     table = None
@@ -251,39 +263,7 @@ def _cmd_empirical(args) -> tuple[dict, int]:
             "terms that are material at this range size"
         ),
     }
-    return result, 0
-
-
-def _render_human(manifest: dict, result: dict) -> str:
-    lines = [f"# {manifest['command']} ({manifest['timestamp']})"]
-    if manifest["command"].startswith("bound"):
-        lines.append(f"coefficient = {result['coefficient']['sci']}"
-                     f"  (sign {result['coefficient']['sign']},"
-                     f" log_mag {result['coefficient']['log_mag']:.6f})")
-        for row in result.get("per_k", []):
-            lines.append(
-                f"  k={row['k']:>3}  alpha={row['alpha']:.6g}  term={row['term']['sci']}"
-            )
-    elif manifest["command"] == "reproduce":
-        rep = result["report"]
-        for key, shown in rep["display"].items():
-            lines.append(f"{key:>12} = {rep[key]['sci']}  (display {shown})")
-        for check in result["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            lines.append(f"{status}: {check['name']}  [{check['computed']}]")
-        lines.append("overall: " + ("PASS" if result["overall_pass"] else "FAIL"))
-        if rep["failure"]:
-            lines.append(f"failure: {rep['failure']}")
-    elif manifest["command"] == "empirical count":
-        lines.append(f"count = {result['count']} of {result['scanned']} values")
-    elif manifest["command"] == "empirical mertens":
-        for x, dev in result["deviations"]:
-            lines.append(f"  x={x:>10}  deviation={dev:+.6f}")
-        lines.append(f"max |deviation| = {result['max_abs_deviation']:.6f}")
-        lines.append(f"mean nu(p) = {result['mean_nu']:.6f}")
-    elif manifest["command"] == "empirical nu":
-        lines.append(f"nu({result['d']}) = {result['nu']}")
-    return "\n".join(lines) + "\n"
+    return result, 0, [f"count = {count} of {result['scanned']} values"]
 
 
 def main(argv=None) -> int:
@@ -293,7 +273,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result, code = args.run(args)
+        result, code, summary = args.run(args)
         manifest = _manifest(args)
         document = json.dumps({"manifest": manifest, "result": result},
                               sort_keys=True, indent=2) + "\n"
@@ -304,7 +284,8 @@ def main(argv=None) -> int:
         print(f"cubebound: error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(document)
-    sys.stderr.write(_render_human(manifest, result))
+    for line in ["# {command} ({timestamp})".format_map(manifest), *summary]:
+        print(line, file=sys.stderr)
     return code
 
 

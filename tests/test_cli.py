@@ -90,6 +90,109 @@ def test_manifest_records_every_parsed_option(
     }
 
 
+_REPRODUCE_ROWS = """\
+  tail_first = 9.13799715e-10  (display 9.2e-10)
+ tail_second = 3.57285130e-08  (display 3.6e-08)
+  tail_total = 3.66423127e-08  (display 3.7e-08)
+"""
+_TAIL_CHECKS = """\
+PASS: tail_first <= 9.2e-10  [9.13799715e-10]
+PASS: tail_second <= 3.6e-08  [3.57285130e-08]
+PASS: tail_total <= 3.7e-08  [3.66423127e-08]
+"""
+_NO_PROPORTION = """\
+       alpha = 0  (display 0)
+       varpi = 0  (display 0)
+"""
+_NO_PROPORTION_CHECKS = """\
+FAIL: alpha >= 7.7e-50  [0]
+FAIL: varpi >= 1e-52  [0]
+"""
+_IDENTITY = "2^H*min(H,[1/delta])*alpha + tail_total == S_lower (1e-9 rel)"
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    ("bound first --h 3 --delta 1/321", 0, """\
+# bound first (T)
+coefficient = 5.77144112e+00  (sign 1, log_mag 1.752922)
+"""),
+    ("bound second --h 12 --delta 1/321", 0, """\
+# bound second (T)
+coefficient = 9.76215171e+01  (sign 1, log_mag 4.581098)
+  k=  4  alpha=10.245  term=1.76085630e+00
+  k=  5  alpha=4.84665  term=1.00309754e+01
+  k=  6  alpha=1.15211  term=1.87211492e+01
+  k=  7  alpha=0  term=1.71336742e+01
+  k=  8  alpha=0  term=1.43863402e+01
+  k=  9  alpha=0  term=1.21896645e+01
+  k= 10  alpha=0  term=1.11175281e+01
+"""),
+    ("bound second --h 12 --delta 1/321 --alpha 2.5", 0, """\
+# bound second (T)
+coefficient = 1.08184166e+05  (sign 1, log_mag 11.591590)
+  k=  4  alpha=2.5  term=7.38914203e+00
+  k=  5  alpha=2.5  term=1.20832185e+01
+  k=  6  alpha=2.5  term=2.02104341e+01
+  k=  7  alpha=2.5  term=3.93913827e+01
+  k=  8  alpha=2.5  term=1.12468414e+02
+  k=  9  alpha=2.5  term=8.05317661e+02
+  k= 10  alpha=2.5  term=1.07175024e+05
+"""),
+    ("reproduce", 0, "# reproduce (T)\n" + _REPRODUCE_ROWS + """\
+       alpha = 7.70272830e-50  (display 7.7e-50)
+       varpi = 1.19980192e-52  (display 1.1e-52)
+""" + _TAIL_CHECKS + f"""\
+PASS: alpha >= 7.7e-50  [7.70272830e-50]
+PASS: varpi >= 1e-52  [1.19980192e-52]
+PASS: {_IDENTITY}  [relative error 8.882e-16]
+overall: PASS
+"""),
+    ("reproduce --h-max 189", 3, """\
+# reproduce (T)
+  tail_first = 0  (display 0)
+ tail_second = 3.57285130e-08  (display 3.6e-08)
+  tail_total = 3.57285130e-08  (display 3.6e-08)
+""" + _NO_PROPORTION + """\
+FAIL: tail_first <= 9.2e-10  [0]
+PASS: tail_second <= 3.6e-08  [3.57285130e-08]
+FAIL: tail_total <= 3.7e-08  [3.57285130e-08]
+""" + _NO_PROPORTION_CHECKS + f"""\
+FAIL: {_IDENTITY}  [tail truncated at h_max]
+overall: FAIL
+failure: h_max=189 truncates the tail: the closed-form terms are nonzero up to h=962
+"""),
+    ("reproduce --s-lower 0", 3, "# reproduce (T)\n" + _REPRODUCE_ROWS + _NO_PROPORTION
+     + _TAIL_CHECKS + _NO_PROPORTION_CHECKS + f"""\
+FAIL: {_IDENTITY}  [margin not positive]
+overall: FAIL
+failure: margin S_lower - tail_total is zero or negative; no positive proportion follows
+"""),
+    # the window spans two sieve segments; roots.bin holds no cache
+    ("empirical count --x-min 10 --x-max 65560 --threshold 2 --h 3 --cache roots.bin", 0, """\
+warning: rebuilding root-table cache: roots.bin: not a root-table cache
+segment 11..65546 done
+segment 65547..65560 done
+# empirical count (T)
+count = 51301 of 65550 values
+"""),
+    ("empirical mertens --limit 1000", 0, """\
+# empirical mertens (T)
+  x=        10  deviation=-1.267920
+  x=       100  deviation=-1.858459
+  x=      1000  deviation=-1.890916
+max |deviation| = 1.890916
+mean nu(p) = 0.952381
+"""),
+    ("empirical nu --d 31", 0, "# empirical nu (T)\nnu(31) = 3\n"),
+])
+def test_summary_on_stderr(capsys, tmp_path, monkeypatch, argv, code, stderr):
+    # the whole stderr of each command shape: progress and warnings, the
+    # header line and the command's summary lines
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "roots.bin").write_bytes(b"garbage")
+    assert run_cli(capsys, *argv.split(), "--timestamp", "T")[::2] == (code, stderr)
+
+
 def test_bound_first_empty_region(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "first", "--h", "964", "--delta", "1/321", "--timestamp", "T"
@@ -180,6 +283,28 @@ def test_domain_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, "reproduce", "--s-lower", s_lower)
         assert (code, out) == (2, "")
         assert "S_lower must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "bound second --h 133 --delta 1/321 --K-offset 0 --alpha nan",
+    "bound second --h 133 --delta 1/321 --K-offset 0 --alpha -3",
+    "reproduce --K-offset 0",
+])
+def test_K_offset_below_1_exits_2(capsys, argv):
+    # K_offset = 0 would leave the tilted sum [h/3, K) empty, and with it the
+    # check of a fixed --alpha
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert "K_offset must be at least 1, got 0" in err
+
+
+def test_bound_second_checks_alpha_at_the_least_K_offset(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "second", "--h", "133", "--delta", "1/321", "--K-offset", "1",
+        "--alpha", "-3",
+    )
+    assert (code, out) == (2, "")
+    assert "alpha must be finite and non-negative, got -3.0" in err
 
 
 def test_documents_byte_identical_with_pinned_timestamp(capsys):

@@ -38,6 +38,8 @@ COMMANDS = (
     "bound second --h 133 --delta 1/321",
     "bound second --h 150 --delta 1/321 --alpha 3.5 --K-offset 7",
     "bound second --h 2 --delta 3/2",
+    "bound second --h 133 --delta 1/321 --K-offset 0 --alpha nan",
+    "bound second --h 133 --delta 1/321 --K-offset 0 --alpha -3",
     "empirical count --x-min 1000 --x-max 3000 --threshold 17 --h 2",
     "empirical count --x-min 1000 --x-max 3000 --threshold 17 --h 2 --cache roots.bin",
     "empirical mertens --limit 100000",
