@@ -279,6 +279,13 @@ def test_domain_errors_exit_2(capsys):
         )
         assert (code, out) == (2, "")
         assert "alpha must be finite and non-negative" in err
+    # the least K_offset leaves one k-term, and with it the check of the tilt
+    code, out, err = run_cli(
+        capsys, "bound", "second", "--h", "133", "--delta", "1/321", "--K-offset", "1",
+        "--alpha", "-3",
+    )
+    assert (code, out) == (2, "")
+    assert "alpha must be finite and non-negative, got -3.0" in err
     for s_lower in ("nan", "inf"):
         code, out, err = run_cli(capsys, "reproduce", "--s-lower", s_lower)
         assert (code, out) == (2, "")
@@ -296,15 +303,6 @@ def test_K_offset_below_1_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert "K_offset must be at least 1, got 0" in err
-
-
-def test_bound_second_checks_alpha_at_the_least_K_offset(capsys):
-    code, out, err = run_cli(
-        capsys, "bound", "second", "--h", "133", "--delta", "1/321", "--K-offset", "1",
-        "--alpha", "-3",
-    )
-    assert (code, out) == (2, "")
-    assert "alpha must be finite and non-negative, got -3.0" in err
 
 
 def test_documents_byte_identical_with_pinned_timestamp(capsys):
