@@ -19,7 +19,14 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bounds import TiltChoice, checked_delta, clamped_K, first_bound, second_bound_detail
+from .bounds import (
+    MAX_TERMS,
+    TiltChoice,
+    checked_delta,
+    clamped_K,
+    first_bound,
+    second_bound_detail,
+)
 from .errors import DomainError
 from .lognum import (
     ZERO,
@@ -66,14 +73,25 @@ class AggregateConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", checked_delta(self.delta))
-        if self.H < 1:
-            raise DomainError(f"H must be at least 1, got {self.H}")
+        if self.H < 2:
+            raise DomainError(f"H must be at least 2 (the second tail starts at h = H + 1 >= 3), "
+                              f"got {self.H}")
         if not (self.H < self.split_h <= self.h_max + 1):
             raise DomainError(
                 f"need H < split_h <= h_max+1, got H={self.H}, "
                 f"split_h={self.split_h}, h_max={self.h_max}"
             )
+        if self.h_max - self.H > MAX_TERMS:
+            raise DomainError(f"h_max={self.h_max} asks for {self.h_max - self.H} per-h terms "
+                              f"(h = H+1 to h_max), more than the cap of {MAX_TERMS}")
         clamped_K(self.split_h, self.K_offset)  # checks K_offset
+        # split_h - H <= h_max + 1 - H bounds the sum's length
+        k_terms = sum(clamped_K(h, self.K_offset) - h // 3 for h in range(self.H + 1, self.split_h))
+        if self.h_max - self.H + k_terms > MAX_TERMS:
+            raise DomainError(
+                f"split_h={self.split_h} and K_offset={self.K_offset} ask for {k_terms} k-terms "
+                f"besides {self.h_max - self.H} per-h terms, more than the cap of {MAX_TERMS}"
+            )
         if not 0.0 <= self.S_lower < math.inf:
             raise DomainError(f"S_lower must be finite and non-negative, got {self.S_lower}")
 

@@ -196,12 +196,22 @@ class SecondBoundDetail:
     boundary_term: LogNumber
 
 
+# the most per-h terms and k-terms one run may take: the default reproduction
+# takes 1,914, at about 60 us each, and every per-h term is in its document
+MAX_TERMS = 100_000
+
+
 def clamped_K(h: int, K_offset: int) -> int:
     """K = [h/3] + K_offset, clamped to h-1, the largest K a tilted bound admits;
-    K_offset >= 1 makes K > [h/3] for every h >= 3, so no tilted sum is empty."""
+    K_offset >= 1 makes K > [h/3] for every h >= 3, so no tilted sum is empty.
+    DomainError for K_offset < 1 and for more than MAX_TERMS k-terms at h."""
     if K_offset < 1:
         raise DomainError(f"K_offset must be at least 1, got {K_offset}")
-    return min(h // 3 + K_offset, h - 1)
+    K = min(h // 3 + K_offset, h - 1)
+    if K - h // 3 > MAX_TERMS:
+        raise DomainError(f"K_offset={K_offset} asks for {K - h // 3} k-terms at h={h}, "
+                          f"more than the cap of {MAX_TERMS}")
+    return K
 
 
 def second_bound_detail(h: int, delta, K: int, alpha: float | None = None) -> SecondBoundDetail:

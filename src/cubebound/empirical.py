@@ -24,11 +24,11 @@ one process, a segment at a time.
 
 Each segment's cofactors are classified in one batch: BPSW (a strong
 base-2 test and a strong Lucas test, which no composite below 2^64 passes)
-and, to factorise, Pollard-Brent with every walk in lockstep, run in
-Montgomery arithmetic on numpy uint64 lanes. Cofactors of 2^63 and above
-(n >= 2^21), batches too small to pay for numpy's per-call cost, and the
-last slow walks of a batch stay on Python integers, where Miller-Rabin
-gives the same verdicts.
+and, to factorise, the elliptic curve method (ECM) with several curves per
+value in lockstep, both run in Montgomery arithmetic on numpy uint64 lanes.
+Cofactors of 2^63 and above (n >= 2^21) and batches too small to pay for
+numpy's per-call cost stay on Python integers, where Miller-Rabin gives the
+same verdicts and Pollard-Brent splits.
 
 The prime layer runs on numpy arrays as well: an odd-only sieve, nu(p) read
 from a table of the values x^2 + 27y^2 up to the largest prime (at most
@@ -151,10 +151,18 @@ _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues
 # Batches under _MR_BATCH_MIN are tested on Python ints. The benchmark's
 # batches hold 7,000-20,000 values; the tests make the small ones, and take
 # 73 s instead of 51 s with every batch on lanes.
-# The lockstep Brent walks hand their lanes over to Python ints (about 3 ms
-# of walk each) once fewer than _BRENT_BATCH_MIN remain.
+# Composites split by ECM on lanes, several curves per value in each pass
+# (_ecm_lanes), down to the last value: a pass costs about 3,000 products
+# whatever its lane count, so handing the slow tail to Python ints would pay
+# those passes and the scalar walks too. A split batch under _ECM_BATCH_MIN
+# takes Brent's walk on Python ints: on the benchmark's composites, 100
+# values took 197-225 ms on lanes and 215-299 ms on ints, 25 values 102-122
+# ms and 66-115 ms. So do values below _ECM_FLOOR: every curve at these
+# bounds finds every prime below 2^15, so a product of two such primes gets
+# only whole-value gcds; from 2^32 on, the larger factor is above 2^16.
 _MR_BATCH_MIN = 100
-_BRENT_BATCH_MIN = 100
+_ECM_BATCH_MIN = 100
+_ECM_FLOOR = 1 << 32
 _LO32 = np.uint64(0xFFFF_FFFF)
 _U32 = np.uint64(32)
 
@@ -236,10 +244,6 @@ class _Mont(NamedTuple):
             out = self.add(out, out)
             out = np.where((a >> np.uint64(i)) & np.uint64(1), self.add(out, x), out)
         return out
-
-    def value(self, a: np.ndarray) -> list[int]:
-        """The residues a/R mod m as Python ints."""
-        return self.mul(a, np.ones_like(a)).tolist()
 
 
 def _bpsw_lanes(m: np.ndarray) -> np.ndarray:
@@ -392,42 +396,143 @@ def _lucas_ladder(mod: _Mont, d: np.ndarray, rungs: list[tuple[int, int]], q: np
     return v, w, qk
 
 
-def _brent_lanes(m: np.ndarray) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """The c = 1 walk of _brent_int on odd composite lanes below 2^63, in
-    lockstep: every lane shares the r-doubling schedule and takes a gcd every
-    128 steps, and leaves once its gcd is not 1.
+# ECM (Lenstra, Ann. Math. 126, 1987) on x-only Montgomery curves
+# (Montgomery, Math. Comp. 48, 1987), one curve per lane, many moduli in
+# lockstep (Bos & Kleinjung, "ECM at work", ASIACRYPT 2012).
+_ECM_B1, _ECM_B2, _ECM_D = 100, 3000, 210
+_ECM_LANES = 1024  # lanes per pass: each open value gets ceil(_ECM_LANES / open) curves
+_ECM_CAP = 512  # curves per value; see _ecm_lanes
+_ECM_SIGMA = 6  # the first Suyama parameter; a value's curves take 6, 7, 8, ...
 
-    Returns each lane's divisor, 0 where the gcd was the whole lane (the
-    scalar path backtracks or changes c), and the walk state (x, y, q, r, k)
-    of the lanes still open when fewer than _BRENT_BATCH_MIN remain, which
-    is at once when fewer are given, or when the next round would pass the
-    _brent_cap of the largest lane.
+
+def _ecm_plan() -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Stage 1's exponent and stage 2's pairs.
+
+    The exponent is the product of the prime powers up to _ECM_B1 and of the
+    primes of (_ECM_B1, _ECM_D/2), 101 and 103, whose giant step would be 0.
+    Each prime p of (_ECM_D/2, _ECM_B2] is i*_ECM_D +- j with i >= 1 and j <
+    _ECM_D/2 coprime to _ECM_D; the pairs list each i with its js.
+    """
+    exponent, pairs = 1, {}
+    for p in _prime_array(_ECM_B2).tolist():
+        if p <= _ECM_B1:
+            q = p
+            while q * p <= _ECM_B1:
+                q *= p
+            exponent *= q
+        elif 2 * p < _ECM_D:
+            exponent *= p
+        else:
+            i = (2 * p + _ECM_D) // (2 * _ECM_D)
+            pairs.setdefault(i, set()).add(abs(p - i * _ECM_D))
+    return exponent, tuple((i, tuple(sorted(js))) for i, js in sorted(pairs.items()))
+
+
+_ECM_EXPONENT, _ECM_PAIRS = _ecm_plan()
+
+
+def _xdbl(mod: _Mont, p: tuple[np.ndarray, np.ndarray], a24: tuple[np.ndarray, np.ndarray]):
+    """2P in XZ coordinates on By^2 = x^3 + Ax^2 + x, with (A + 2)/4 = a24[0]/a24[1]."""
+    s, t = mod.add(*p), mod.sub(*p)
+    s, t = mod.mul(s, s), mod.mul(t, t)
+    e = mod.sub(s, t)  # 4XZ
+    t = mod.mul(t, a24[1])
+    return mod.mul(s, t), mod.mul(e, mod.add(t, mod.mul(e, a24[0])))
+
+
+def _xadd(mod: _Mont, p, q, diff):
+    """P + Q in XZ coordinates from P, Q and P - Q."""
+    u = mod.mul(mod.sub(*p), mod.add(*q))
+    v = mod.mul(mod.add(*p), mod.sub(*q))
+    s, t = mod.add(u, v), mod.sub(u, v)
+    return mod.mul(diff[1], mod.mul(s, s)), mod.mul(diff[0], mod.mul(t, t))
+
+
+def _ecm_stage1(mod: _Mont, sigma: np.ndarray):
+    """(Q, a24) on each lane: Suyama's curve of parameter sigma, u = sigma^2 -
+    5 and v = 4 sigma, with start point (u^3 : v^3) and (A + 2)/4 =
+    (v - u)^3 (3u + v) / (16 u^3 v), kept as a pair so no lane inverts; Q is
+    the start point times _ECM_EXPONENT, by one Montgomery ladder."""
+    s = mod.times(mod.one, sigma)
+    u = mod.sub(mod.mul(s, s), mod.times(mod.one, 5))
+    v = mod.times(s, 4)
+    u3, w = mod.mul(mod.mul(u, u), u), mod.sub(v, u)
+    a24 = (mod.mul(mod.mul(mod.mul(w, w), w), mod.add(mod.times(u, 3), v)),
+           mod.times(mod.mul(u3, v), 16))
+    p = (u3, mod.mul(mod.mul(v, v), v))
+    r0, r1 = p, _xdbl(mod, p, a24)  # (kP, (k+1)P) from k = 1
+    for bit in bin(_ECM_EXPONENT)[3:]:
+        if bit == "1":
+            r0, r1 = _xadd(mod, r1, r0, p), _xdbl(mod, r1, a24)
+        else:
+            r0, r1 = _xdbl(mod, r0, a24), _xadd(mod, r1, r0, p)
+    return r0, a24
+
+
+def _ecm_stage2(mod: _Mont, q, a24) -> np.ndarray:
+    """Z of Q times X_G Z_j - X_j Z_G for each pair (i, j) of _ECM_PAIRS, with
+    G = i D Q and the baby step jQ, on each lane: a prime p of the lane
+    divides it when Q is O mod p or iDQ = +-jQ mod p for some pair.
+
+    X_G Z_j - X_j Z_G = (X_G - X_j)(Z_G + Z_j) - X_G Z_G + X_j Z_j takes one
+    product per pair, on the (pairs, lanes) arrays of one giant step."""
+    q2 = _xdbl(mod, q, a24)
+    odd = [q, _xadd(mod, q2, q, q)]  # jQ for j = 1, 3, 5, ..., D/2
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(mod, odd[-1], q2, odd[-2]))
+    xb, zb = np.array([x for x, _ in odd]), np.array([z for _, z in odd])
+    xzb = mod.mul(xb, zb)
+    giants = [_xdbl(mod, odd[-1], a24)]  # DQ = 2 (D/2)Q
+    giants.append(_xdbl(mod, giants[0], a24))
+    acc = q[1]
+    for i, js in _ECM_PAIRS:
+        while len(giants) < i:
+            giants.append(_xadd(mod, giants[-1], giants[0], giants[-2]))
+        (x, z), b = giants[i - 1], np.array(js) // 2
+        t = mod.mul(mod.sub(x, xb[b]), mod.add(z, zb[b]))
+        t = np.concatenate((acc[None], mod.add(mod.sub(t, mod.mul(x, z)), xzb[b])))
+        while len(t) > 1:  # the product of the rows, halving them
+            h = len(t) // 2
+            t = np.concatenate((mod.mul(t[:h], t[h : 2 * h]), t[2 * h :]))
+        acc = t[0]
+    return acc
+
+
+def _ecm_lanes(m: np.ndarray, ns: Sequence[int]) -> list[int]:
+    """A proper divisor of each odd composite lane below 2^63, by ECM.
+
+    Each pass gives every open value ceil(_ECM_LANES / open) curves, the next
+    sigmas of its sequence, so no pass runs on a few lanes. A lane whose gcd
+    is a proper divisor closes its value; a gcd equal to the whole value is a
+    failed curve. ns as in _cofactor_primes.
+
+    A value that has failed _ECM_CAP curves raises FactorizationError. A
+    composite lane v = pq in [2^32, 2^63) has p < 2^31.5 and q >= 2^16. One
+    curve split 7.6-8.6% of 8,000 products of two primes in [2^31.4, 2^31.5]
+    (sigma = 6 to 13 each) and 16% of products in [2^32, 2^33) with p near
+    2^16: the two ends of the range, where a curve most often misses both
+    factors or finds both, split least of the sizes measured. So a composite
+    fails 512 curves with chance below 0.925^512 < exp(-39): only a prime,
+    which no curve splits, reaches the cap.
     """
     divisors = [0] * m.size
-    lanes = np.arange(m.size)
-    mod = _Mont.of(m)
-    x, y, q = mod.times(mod.one, 2), mod.times(mod.one, 5), mod.one
-    r = 1
-    k = 0
-    cap = _brent_cap(int(m.max(initial=1)))
-    while lanes.size >= _BRENT_BATCH_MIN and (k < r or 2 * r <= cap):
-        if k >= r:
-            x, r, k = y, 2 * r, 0
-            for _ in range(r):
-                y = mod.add(mod.mul(y, y), mod.one)
-        for _ in range(min(128, r - k)):
-            y = mod.add(mod.mul(y, y), mod.one)
-            q = mod.mul(q, np.maximum(x, y) - np.minimum(x, y))  # the sign leaves gcd(q, m) alone
-        k += 128
-        g = np.gcd(q, mod.m)
-        done = g != 1
-        if done.any():
-            for lane, d, v in zip(lanes[done].tolist(), g[done].tolist(), mod.m[done].tolist()):
-                divisors[lane] = d if d < v else 0
-            keep = ~done
-            lanes, mod, x, y, q = lanes[keep], mod.take(keep), x[keep], y[keep], q[keep]
-    states = zip(mod.value(x), mod.value(y), mod.value(q))
-    return divisors, {lane: (*s, r, k) for lane, s in zip(lanes.tolist(), states)}
+    open_ = np.arange(m.size)
+    tried = 0
+    while open_.size:
+        if tried >= _ECM_CAP:
+            i = int(open_[0])
+            raise FactorizationError(ns[i], f"no split of cofactor {int(m[i])} by {tried} curves")
+        per = min(-(-_ECM_LANES // open_.size), _ECM_CAP - tried)
+        lane = np.repeat(open_, per)
+        mod = _Mont.of(m[lane])
+        sigma = np.tile(np.arange(per, dtype=np.uint64) + np.uint64(_ECM_SIGMA + tried), open_.size)
+        g = np.gcd(_ecm_stage2(mod, *_ecm_stage1(mod, sigma)), mod.m)
+        hit = (g != 1) & (g != mod.m)
+        for i, d in zip(lane[hit].tolist(), g[hit].tolist()):
+            divisors[i] = divisors[i] or d
+        open_ = np.array([i for i in open_.tolist() if not divisors[i]], dtype=np.int64)
+        tried += per
+    return divisors
 
 
 # ---------------------------------------------------------------------------
@@ -766,19 +871,18 @@ def _brent_cap(v: int) -> int:
     return max(1 << 12, 8 * math.isqrt(math.isqrt(v)))
 
 
-def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
+def _brent_int(v: int, n: int) -> int:
     """A non-trivial divisor of odd composite v (Brent's cycle variant with a
     deterministic parameter march, so output streams are reproducible).
 
-    The walk for c = 1 starts from resume, a state (x, y, q, r, k) that
-    _brent_lanes reached, when one is given. A walk whose next round would
-    pass _brent_cap(v) raises FactorizationError: v is then almost surely
-    prime, and every other c would walk as far in vain.
+    A walk whose next round would pass _brent_cap(v) raises
+    FactorizationError: v is then almost surely prime, and every other c
+    would walk as far in vain.
     """
     cap = _brent_cap(v)
     for c in range(1, 41):
         # round r: x is fixed, y has taken k of its r gcd-tracked steps
-        x, y, q, r, k = resume if resume and c == 1 else (2, (4 + c) % v, 1, 1, 0)
+        x, y, q, r, k = 2, (4 + c) % v, 1, 1, 0
         g = 1
         while g == 1:
             if k >= r:
@@ -806,20 +910,20 @@ def _brent_int(v: int, n: int, resume: tuple[int, ...] | None = None) -> int:
 
 def _pollard_brent(values: list[int], ns: Sequence[int]) -> list[int]:
     """A checked non-trivial divisor of every composite value (ns as in
-    _cofactor_primes); values below 2^63 walk in lockstep first, and
-    _brent_int finishes the walks that did not split there.
+    _cofactor_primes): by _ecm_lanes when at least _ECM_BATCH_MIN values lie
+    in [_ECM_FLOOR, 2^63), else, and for the values outside it, by _brent_int.
 
     Every value is odd, as the Montgomery lanes need: the sieve strips 2,
     which every root table holds, and 4 never divides n^3 + 2.
     """
     divisors = [0] * len(values)
-    lanes = [i for i, v in enumerate(values) if v < _MONT_TOP]
-    found, states = _brent_lanes(np.array([values[i] for i in lanes], dtype=np.uint64))
-    for i, d in zip(lanes, found):
-        divisors[i] = d
-    resume = {lanes[j]: state for j, state in states.items()}
+    lanes = [i for i, v in enumerate(values) if _ECM_FLOOR <= v < _MONT_TOP]
+    if len(lanes) >= _ECM_BATCH_MIN:
+        m = np.array([values[i] for i in lanes], dtype=np.uint64)
+        for i, d in zip(lanes, _ecm_lanes(m, [ns[i] for i in lanes])):
+            divisors[i] = d
     for i, v in enumerate(values):
-        d = divisors[i] or _brent_int(v, ns[i], resume.get(i))
+        d = divisors[i] or _brent_int(v, ns[i])
         if not 1 < d < v or v % d:
             raise FactorizationError(ns[i], f"bad split of {v}")
         divisors[i] = d

@@ -251,3 +251,54 @@ def region_integral_mc(
     mean = total_w / samples
     var = max(total_w2 - samples * mean * mean, 0.0) / (samples - 1)
     return scale * mean, scale * math.sqrt(var / samples)
+
+
+def suyama_point_order(sigma: int, p: int) -> int | None:
+    """The order mod the prime p of the start point of Suyama's curve for
+    sigma (u = sigma^2 - 5, v = 4 sigma, x0 = u^3/v^3, A + 2 = (v - u)^3
+    (3u + v)/(4u^3 v)), by affine arithmetic on By^2 = x^3 + Ax^2 + x with B
+    chosen so that (x0, 1) lies on it; the x-coordinates of its multiples do
+    not depend on B. The group order is counted point by point with a table
+    of squares, and the point's order is read off its prime factors. None
+    where the curve is singular mod p or the point has y = 0."""
+    u, v = (sigma * sigma - 5) % p, 4 * sigma % p
+    if 0 in (u, v, (v - u) % p, (3 * u + v) % p):
+        return None
+    x0 = u**3 * pow(v**3, -1, p) % p
+    a = ((v - u) ** 3 * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+    b = (x0**3 + a * x0 * x0 + x0) % p
+    if (a * a - 4) % p == 0 or b == 0:
+        return None
+
+    def add(P, Q):
+        if P is None or Q is None:
+            return P or Q
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2 and (y1 + y2) % p == 0:
+            return None
+        if x1 == x2:
+            lam = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (b * lam * lam - a - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    def times(k, P):
+        R = None
+        while k:
+            if k & 1:
+                R = add(R, P)
+            P, k = add(P, P), k >> 1
+        return R
+
+    x = np.arange(p, dtype=np.int64)
+    f = (x * x % p * x + a * (x * x % p) + x) % p * b % p
+    square = np.zeros(p, dtype=bool)
+    square[x * x % p] = True
+    order = p + 1 + int(np.where(f == 0, 0, np.where(square[f], 1, -1)).sum())
+    start = (x0, 1)
+    assert times(order, start) is None
+    for ell in trial_factor(order):
+        while order % ell == 0 and times(order // ell, start) is None:
+            order //= ell
+    return order

@@ -305,6 +305,25 @@ def test_K_offset_below_1_exits_2(capsys, argv):
     assert "K_offset must be at least 1, got 0" in err
 
 
+def test_H_below_2_exits_2_naming_H(capsys):
+    # the second tail starts at h = H + 1, and the bounds need h >= 3
+    code, out, err = run_cli(capsys, "reproduce", "--H", "1")
+    assert (code, out) == (2, "")
+    assert "H must be at least 2" in err and "got 1" in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    ("reproduce --h-max 99999999999", "h_max=99999999999"),
+    ("bound second --h 10000000 --delta 1/1000 --K-offset 10000001", "K_offset=10000001"),
+    ("reproduce --H 2 --split 900 --K-offset 1000", "K_offset=1000"),
+])
+def test_work_above_the_term_cap_exits_2_before_any_term(capsys, argv, names):
+    # each of the first two ran out of memory (exit 1 with a traceback)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert names in err and "more than the cap of 100000" in err
+
+
 def test_documents_byte_identical_with_pinned_timestamp(capsys):
     _, out1, _ = run_cli(
         capsys, "bound", "first", "--h", "6", "--delta", "1/10", "--timestamp", "T0"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -34,6 +35,7 @@ from oracles import (
     is_strong_probable_prime,
     nu_enumerate,
     primes_by_trial_division,
+    suyama_point_order,
     trial_factor,
     write_root_cache,
 )
@@ -258,67 +260,125 @@ def test_lockstep_splits_divide_and_are_proper():
         q = sympy.nextprime(rnd.randrange(2**29, 2**30 - 100))
         cases.append((q * q, q, q))
     values = [v for v, _, _ in cases]
-    found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
-    assert resume and len(resume) < empirical._BRENT_BATCH_MIN  # the slowest lanes are handed over
-    for lane, (v, p, q) in enumerate(cases):
-        d = found[lane] or empirical._brent_int(v, lane, resume.get(lane))
+    found = empirical._ecm_lanes(np.array(values, dtype=np.uint64), values)
+    for d, (v, p, q) in zip(found, cases):
         assert d in (p, q), (v, d)
-        # the lockstep lanes walk the scalar c = 1 sequence exactly
-        assert d == empirical._brent_int(v, lane)
+        assert sympy.factorint(v) == dict(collections.Counter((d, v // d)))
     assert all(d in (p, q) for d, (_, p, q) in zip(empirical._pollard_brent(values, values), cases))
 
 
-def test_lockstep_whole_modulus_gcd_goes_scalar():
-    # small semiprimes: both factors' cycles often close in the same gcd block
+def test_lockstep_whole_modulus_gcd_is_a_failed_curve():
+    # products of two primes near 2^16, the least _ECM_FLOOR lets on a lane:
+    # one curve often finds both factors, and the value stays open
+    primes = empirical._prime_array(2**17).tolist()
+    primes = [p for p in primes if p > 2**16][:40]
+    values = [p * q for p, q in itertools.combinations(primes, 2)][:300]
+    m = np.array(values, dtype=np.uint64)
+    mod = empirical._Mont.of(m)
+    g = np.gcd(empirical._ecm_stage2(mod, *empirical._ecm_stage1(mod, m % 1000 + 6)), m)
+    assert 0 < np.count_nonzero(g == m) < m.size
+    for v, d in zip(values, empirical._ecm_lanes(m, values)):
+        assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
+    # below the floor a curve finds every small prime, so a product of two
+    # gets only whole-value gcds; such values take Brent's walk and split
     odd = empirical._prime_array(200).tolist()[1:]
-    values = sorted({p * q for p in odd for q in odd if p < q})
-    found, resume = empirical._brent_lanes(np.array(values, dtype=np.uint64))
-    whole = [v for lane, v in enumerate(values) if not found[lane] and lane not in resume]
-    assert whole
-    for v, d in zip(values, empirical._pollard_brent(values, values)):
+    small = sorted({p * q for p in odd for q in odd if p < q})
+    m = np.array(small, dtype=np.uint64)
+    mod = empirical._Mont.of(m)
+    g = np.gcd(empirical._ecm_stage2(mod, *empirical._ecm_stage1(mod, m % 1000 + 6)), m)
+    assert (g == m).all() and max(small) < empirical._ECM_FLOOR
+    for v, d in zip(small, empirical._pollard_brent(small, small)):
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
 
 
-def test_inverse_mod_2_64_against_pow():
-    # the sieve's exact low word and every Montgomery lane rest on it
-    edge = [1, 3, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1]
-    rnd = random.Random(27)
-    values = edge + [rnd.getrandbits(64) | 1 for _ in range(10_000)]
-    got = empirical._inverse_mod_2_64(np.array(values, dtype=np.uint64)).tolist()
-    assert got == [pow(a, -1, 2**64) for a in values]
+def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
+    """For p, q below 1e5, suyama_point_order gives the order o of each start
+    point by affine arithmetic. Stage 1 finds p exactly when o divides the
+    exponent; then stage 1's point Q has order o1 = o / gcd(o, exponent), and
+    stage 2 finds p exactly when o1 = 1 or o1 divides some iD +- j of a pair.
+    Each gcd is the product of the primes found. XZ differential addition is
+    undefined where a difference in its chains is O or the 2-torsion point
+    (0, 0), which happens exactly when o1 divides 2k for a chain difference
+    kQ; stage 2 is not checked in those few cases, and they are counted."""
+    D = empirical._ECM_D
+    exponent = math.lcm(*range(1, empirical._ECM_B1 + 1)) * 101 * 103
+    assert empirical._ECM_EXPONENT == exponent
+    pairs = [(i, j) for i, js in empirical._ECM_PAIRS for j in js]
+    primes = set(sympy.primerange(D // 2, empirical._ECM_B2 + 1))
+    assert primes <= {i * D + s * j for i, j in pairs for s in (1, -1)}
+    assert all({i * D - j, i * D + j} & primes for i, j in pairs)
+    top = max(i for i, _ in pairs)
+    chain = list(range(1, D // 2 - 2, 2)) + [D * k for k in range(1, top - 1)]
+
+    def finds(o):  # (stage 1, stages 1 and 2), the second None where a chain breaks
+        o1 = o // math.gcd(o, exponent)
+        if o1 == 1:
+            return True, True
+        if any(2 * k % o1 == 0 for k in chain):
+            return False, None
+        return False, any((i * D - j) % o1 == 0 or (i * D + j) % o1 == 0 for i, j in pairs)
+
+    rnd = random.Random(31)
+    cases = []
+    while len(cases) < 400:
+        p, q = sympy.randprime(1000, 10**5), sympy.randprime(1000, 10**5)
+        sigma = rnd.randrange(6, 10**6)
+        orders = [suyama_point_order(sigma, r) for r in (p, q)]
+        if p != q and None not in orders:
+            cases.append((p, q, sigma, finds(orders[0]), finds(orders[1])))
+    kinds = {f for case in cases for f in case[3:]}
+    assert kinds == {(True, True), (False, True), (False, False), (False, None)}
+    m = np.array([p * q for p, q, *_ in cases], dtype=np.uint64)
+    mod = empirical._Mont.of(m)
+    point, a24 = empirical._ecm_stage1(mod, np.array([c[2] for c in cases], dtype=np.uint64))
+    stage1 = np.gcd(point[1], m).tolist()
+    both = np.gcd(empirical._ecm_stage2(mod, point, a24), m).tolist()
+    checked = 0
+    for (p, q, sigma, fp, fq), g1, g2 in zip(cases, stage1, both):
+        assert g1 == (p if fp[0] else 1) * (q if fq[0] else 1), (p, q, sigma)
+        if None not in (fp[1], fq[1]):
+            assert g2 == (p if fp[1] else 1) * (q if fq[1] else 1), (p, q, sigma)
+            checked += 1
+    assert checked > 0.85 * len(cases)  # o1 = 2, 5, 11, ...: a prime power above the exponent's
 
 
 def test_lane_kernels_refuse_moduli_outside_their_range():
     # the lane add and REDC are exact only for odd moduli in (1, 2^63)
     prime = 2**63 + 29
     assert sympy.isprime(prime)
-    for kernel in (empirical._brent_lanes, empirical._bpsw_lanes):
+
+    def ecm(m):
+        return empirical._ecm_lanes(m, m.tolist())
+
+    for kernel in (ecm, empirical._bpsw_lanes):
         with pytest.raises(DomainError, match="odd and in"):
             kernel(np.array([15, prime], dtype=np.uint64))
     with pytest.raises(DomainError, match="odd and in"):
-        empirical._brent_lanes(np.array([15, 21, 22], dtype=np.uint64))
+        ecm(np.array([15, 21, 22], dtype=np.uint64))
 
 
-def test_pollard_brent_on_a_prime_raises_at_the_round_cap():
-    # a wrong primality verdict hands rho a prime, whose walks would run for
-    # about sqrt(v) steps per c: the walk stops when its next round would
-    # pass _brent_cap, on Python ints and in lockstep alike
+def test_pollard_brent_on_a_prime_raises_at_its_cap(monkeypatch):
+    # a wrong primality verdict hands the split a prime, which no walk and no
+    # curve splits: on Python ints the walk stops when its next round would
+    # pass _brent_cap
     prime = sympy.prevprime(2**60)
     with pytest.raises(FactorizationError, match=f"^n=7: no split of cofactor {prime} by"):
         empirical._pollard_brent([prime], [7])
-    # 100 lanes step in lockstep at about 50 us a step, so near 2^60 they
-    # would take about 30 s to reach the cap; near 2^40 they take seconds
+    # on lanes every value stops at _ECM_CAP curves, sigma = 6 to 517: 100
+    # primes take 47 passes of 1,100 lanes or fewer, 4-6 s on a 2-core Xeon
     batch = [sympy.nextprime(2**40)]
-    while len(batch) < empirical._BRENT_BATCH_MIN:
+    while len(batch) < empirical._ECM_BATCH_MIN:
         batch.append(sympy.nextprime(batch[-1]))
-    cap = empirical._brent_cap(batch[-1])
-    assert cap == 8 * 2**10
-    found, states = empirical._brent_lanes(np.array(batch, dtype=np.uint64))
-    assert found == [0] * len(batch)
-    assert {state[3:] for state in states.values()} == {(cap, cap)}  # round r = cap is complete
+    sigmas = []
+    real = empirical._ecm_stage1
+    monkeypatch.setattr(empirical, "_ecm_stage1",
+                        lambda mod, sigma: sigmas.append(sigma.tolist()) or real(mod, sigma))
     ns = range(100, 100 + len(batch))
-    with pytest.raises(FactorizationError, match=f"^n=100: no split of cofactor {batch[0]} by"):
+    with pytest.raises(FactorizationError,
+                       match=f"^n=100: no split of cofactor {batch[0]} by 512 curves$"):
         empirical._pollard_brent(batch, ns)
+    assert len(sigmas) == 47
+    assert sorted(s for p in sigmas for s in p) == sorted(list(range(6, 518)) * len(batch))
     # below the floor every walk closes its cycle mod v in time
     assert empirical._brent_cap(2**36 - 1) == 2**12
     for v in range(9, 2**12, 2):
@@ -328,11 +388,28 @@ def test_pollard_brent_on_a_prime_raises_at_the_round_cap():
 
 
 def test_pollard_brent_checks_every_divisor(monkeypatch):
-    primes = empirical._prime_array(5000).tolist()[-300:]
+    primes = empirical._prime_array(2**20).tolist()[-300:]
     values = [p * q for p, q in zip(primes[::2], primes[1::2])]
-    monkeypatch.setattr(empirical, "_brent_lanes", lambda m: ([3] * m.size, {}))
-    with pytest.raises(FactorizationError):
+    monkeypatch.setattr(empirical, "_ecm_lanes", lambda m, ns: [3] * m.size)
+    with pytest.raises(FactorizationError, match="bad split"):
         empirical._pollard_brent(values, values)
+
+
+def test_factor_range_checks_each_reconstruction(monkeypatch):
+    # a wrong prime from the split stage is caught before its profile goes out
+    real = empirical._cofactor_primes
+    swapped = []
+
+    def swap_one(cofactors, ns, limit):
+        out = real(cofactors, ns, limit)
+        i, p = out[0]
+        swapped.append(ns[i])
+        return [(i, sympy.nextprime(p))] + out[1:]
+
+    monkeypatch.setattr(empirical, "_cofactor_primes", swap_one)
+    with pytest.raises(FactorizationError, match="reconstruction mismatch") as err:
+        list(factor_range(RangeJob(2000, 3000, threshold=2, h=0), build_root_table(3000)))
+    assert err.value.n == swapped[0]
 
 
 # ---------------------------------------------------------------------------
@@ -689,12 +766,11 @@ def window_across_2_63():
 
 @pytest.mark.parametrize("batch_min", [None, 8])
 def test_factor_range_and_count_across_2_63(window_across_2_63, batch_min, monkeypatch):
-    # batch_min 8 tests this window's lanes below 2^63 by BPSW and walks them
-    # in lockstep; None sets both minimums above the window's 300 values, so
-    # they are tested on Python ints and the lockstep walk hands them to the
-    # scalar one at once
+    # batch_min 8 tests this window's lanes below 2^63 by BPSW and splits them
+    # by ECM on lanes; None sets both minimums above the window's 300 values,
+    # so they are tested and split on Python ints
     monkeypatch.setattr(empirical, "_MR_BATCH_MIN", batch_min or 301)
-    monkeypatch.setattr(empirical, "_BRENT_BATCH_MIN", batch_min or 301)
+    monkeypatch.setattr(empirical, "_ECM_BATCH_MIN", batch_min or 301)
     # the batch layers are called only with something to classify
     sizes = {"is_certified_prime": [], "_pollard_brent": []}
     for name, seen in sizes.items():

@@ -31,6 +31,7 @@ COMMANDS = (
     "reproduce --h-max 189",
     "reproduce --s-lower 0",
     "reproduce --H 120",
+    "reproduce --H 1",
     "reproduce --jobs 2 --split 180 --K-offset 19 --delta 1/300",
     "bound first --h 300 --delta 1/321",
     "bound first --h 2 --delta 1/321",
