@@ -84,7 +84,7 @@ class AggregateConfig:
         if self.h_max - self.H > MAX_TERMS:
             raise DomainError(f"h_max={self.h_max} asks for {self.h_max - self.H} per-h terms "
                               f"(h = H+1 to h_max), more than the cap of {MAX_TERMS}")
-        clamped_K(self.split_h, self.K_offset)  # checks K_offset
+        clamped_K(3, self.K_offset)  # checks K_offset, also for an empty second tail
         # split_h - H <= h_max + 1 - H bounds the sum's length
         k_terms = sum(clamped_K(h, self.K_offset) - h // 3 for h in range(self.H + 1, self.split_h))
         if self.h_max - self.H + k_terms > MAX_TERMS:

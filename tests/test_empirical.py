@@ -267,6 +267,12 @@ def test_lockstep_splits_divide_and_are_proper():
     assert all(d in (p, q) for d, (_, p, q) in zip(empirical._pollard_brent(values, values), cases))
 
 
+def _one_curve_gcds(m, sigma):
+    """gcd(m, product of both stages) for one curve per lane."""
+    mod = empirical._Mont.of(m)
+    return np.gcd(empirical._ecm_stage2(mod, *empirical._ecm_stage1(mod, sigma)), m)
+
+
 def test_lockstep_whole_modulus_gcd_is_a_failed_curve():
     # products of two primes near 2^16, the least _ECM_FLOOR lets on a lane:
     # one curve often finds both factors, and the value stays open
@@ -274,8 +280,7 @@ def test_lockstep_whole_modulus_gcd_is_a_failed_curve():
     primes = [p for p in primes if p > 2**16][:40]
     values = [p * q for p, q in itertools.combinations(primes, 2)][:300]
     m = np.array(values, dtype=np.uint64)
-    mod = empirical._Mont.of(m)
-    g = np.gcd(empirical._ecm_stage2(mod, *empirical._ecm_stage1(mod, m % 1000 + 6)), m)
+    g = _one_curve_gcds(m, m % 1000 + 6)
     assert 0 < np.count_nonzero(g == m) < m.size
     for v, d in zip(values, empirical._ecm_lanes(m, values)):
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
@@ -284,9 +289,7 @@ def test_lockstep_whole_modulus_gcd_is_a_failed_curve():
     odd = empirical._prime_array(200).tolist()[1:]
     small = sorted({p * q for p in odd for q in odd if p < q})
     m = np.array(small, dtype=np.uint64)
-    mod = empirical._Mont.of(m)
-    g = np.gcd(empirical._ecm_stage2(mod, *empirical._ecm_stage1(mod, m % 1000 + 6)), m)
-    assert (g == m).all() and max(small) < empirical._ECM_FLOOR
+    assert (_one_curve_gcds(m, m % 1000 + 6) == m).all() and max(small) < empirical._ECM_FLOOR
     for v, d in zip(small, empirical._pollard_brent(small, small)):
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
 
@@ -321,7 +324,7 @@ def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
     rnd = random.Random(31)
     cases = []
     while len(cases) < 400:
-        p, q = sympy.randprime(1000, 10**5), sympy.randprime(1000, 10**5)
+        p, q = (sympy.nextprime(rnd.randrange(1000, 10**5)) for _ in range(2))
         sigma = rnd.randrange(6, 10**6)
         orders = [suyama_point_order(sigma, r) for r in (p, q)]
         if p != q and None not in orders:
@@ -340,6 +343,15 @@ def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
             assert g2 == (p if fp[1] else 1) * (q if fq[1] else 1), (p, q, sigma)
             checked += 1
     assert checked > 0.85 * len(cases)  # o1 = 2, 5, 11, ...: a prime power above the exponent's
+
+
+def test_inverse_mod_2_64_against_pow():
+    # the sieve's exact low word and every Montgomery lane rest on it
+    edge = [1, 3, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1]
+    rnd = random.Random(27)
+    values = edge + [rnd.getrandbits(64) | 1 for _ in range(10_000)]
+    got = empirical._inverse_mod_2_64(np.array(values, dtype=np.uint64)).tolist()
+    assert got == [pow(a, -1, 2**64) for a in values]
 
 
 def test_lane_kernels_refuse_moduli_outside_their_range():
