@@ -152,14 +152,15 @@ _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues
 # batches hold 7,000-20,000 values; the tests make the small ones, and take
 # 73 s instead of 51 s with every batch on lanes.
 # Composites split by ECM on lanes, several curves per value in each pass
-# (_ecm_lanes), down to the last value: a pass costs about 3,000 products
-# whatever its lane count, so handing the slow tail to Python ints would pay
-# those passes and the scalar walks too. A split batch under _ECM_BATCH_MIN
-# takes Brent's walk on Python ints: on the benchmark's composites, 100
-# values took 197-225 ms on lanes and 215-299 ms on ints, 25 values 102-122
-# ms and 66-115 ms. So do values below _ECM_FLOOR: every curve at these
-# bounds finds every prime below 2^15, so a product of two such primes gets
-# only whole-value gcds; from 2^32 on, the larger factor is above 2^16.
+# (_ecm_lanes), down to the last value: a pass costs about 960 calls of
+# _Mont.mul whatever its lane count, so handing the slow tail to Python ints
+# would pay those passes and the scalar walks too. A split batch under
+# _ECM_BATCH_MIN takes Brent's walk on Python ints: on 12 samples of the
+# benchmark's composites, 100 values took 84-210 ms on lanes and 246-368 ms
+# on ints, 50 values 77-156 ms and 92-188 ms, 25 values 77-97 ms and 45-104
+# ms. So do values below _ECM_FLOOR: every curve at these bounds finds every
+# prime below 2^15, so a product of two such primes gets only whole-value
+# gcds; from 2^32 on, the larger factor is above 2^16.
 _MR_BATCH_MIN = 100
 _ECM_BATCH_MIN = 100
 _ECM_FLOOR = 1 << 32
@@ -452,7 +453,14 @@ def _ecm_stage1(mod: _Mont, sigma: np.ndarray):
     """(Q, a24) on each lane: Suyama's curve of parameter sigma, u = sigma^2 -
     5 and v = 4 sigma, with start point (u^3 : v^3) and (A + 2)/4 =
     (v - u)^3 (3u + v) / (16 u^3 v), kept as a pair so no lane inverts; Q is
-    the start point times _ECM_EXPONENT, by one Montgomery ladder."""
+    the start point times _ECM_EXPONENT, by one Montgomery ladder.
+
+    Each ladder step is the _xadd of kP and (k+1)P and the _xdbl of the point
+    the bit picks, as three products on (4, lanes) arrays where those two
+    take twelve one-row products: at 1,024 lanes a product's cost is mostly
+    numpy's per call, and from about 15 rows each element costs over twice
+    as much. The add is symmetric in its inputs, so the two points' rows may
+    come in either order: kP is the pair of rows at lo."""
     s = mod.times(mod.one, sigma)
     u = mod.sub(mod.mul(s, s), mod.times(mod.one, 5))
     v = mod.times(s, 4)
@@ -460,13 +468,17 @@ def _ecm_stage1(mod: _Mont, sigma: np.ndarray):
     a24 = (mod.mul(mod.mul(mod.mul(w, w), w), mod.add(mod.times(u, 3), v)),
            mod.times(mod.mul(u3, v), 16))
     p = (u3, mod.mul(mod.mul(v, v), v))
-    r0, r1 = p, _xdbl(mod, p, a24)  # (kP, (k+1)P) from k = 1
+    r, lo = np.array((*p, *_xdbl(mod, p, a24))), 0  # rows X, Z of P, then of 2P
     for bit in bin(_ECM_EXPONENT)[3:]:
-        if bit == "1":
-            r0, r1 = _xadd(mod, r1, r0, p), _xdbl(mod, r1, a24)
-        else:
-            r0, r1 = _xdbl(mod, r0, a24), _xadd(mod, r1, r0, p)
-    return r0, a24
+        j = lo ^ int(bit)  # the point doubled
+        sd = np.concatenate((mod.add(r[::2], r[1::2]), mod.sub(r[::2], r[1::2])))  # X + Z, X - Z
+        c = mod.mul(sd[[2, 0, j, j + 2]], sd[[1, 3, j, j + 2]])  # add's u, v; double's s^2, t^2
+        st, e = np.array((mod.add(c[0], c[1]), mod.sub(c[0], c[1]))), mod.sub(c[2], c[3])
+        t = mod.mul(np.array((*st, c[3], e)), np.array((*st, a24[1], a24[0])))
+        r = mod.mul(np.array((t[0], t[1], c[2], e)),
+                    np.array((p[1], p[0], t[2], mod.add(t[2], t[3]))))  # the add, the double
+        lo = 1 - int(bit)  # the add is kP after a 1 bit, the double after a 0 bit
+    return (r[2 * lo], r[2 * lo + 1]), a24
 
 
 def _ecm_stage2(mod: _Mont, q, a24) -> np.ndarray:

@@ -302,3 +302,28 @@ def suyama_point_order(sigma: int, p: int) -> int | None:
         while order % ell == 0 and times(order // ell, start) is None:
             order //= ell
     return order
+
+
+def suyama_xz_ladder(sigma: int, m: int, k: int) -> tuple[int, int, int, int]:
+    """(X, Z, a, d) mod m of k times the start point of Suyama's curve for
+    sigma, with (A + 2)/4 = a/d, by Montgomery's ladder on plain Python
+    integers: the textbook XZ formulae, the double scaled by d so that no
+    step inverts, and the same projective representatives as the lanes'."""
+    u, v = (sigma * sigma - 5) % m, 4 * sigma % m
+    a, d = (v - u) ** 3 * (3 * u + v) % m, 16 * u**3 * v % m
+    P = (u**3 % m, v**3 % m)
+
+    def dbl(X, Z):
+        s, t = (X + Z) ** 2, (X - Z) ** 2
+        return d * s * t % m, (s - t) * (d * t + a * (s - t)) % m
+
+    def add(R, S):
+        (X1, Z1), (X2, Z2) = R, S
+        s, t = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
+        return P[1] * (s + t) ** 2 % m, P[0] * (s - t) ** 2 % m
+
+    R = [P, dbl(*P)]  # kP and (k+1)P, from the top bit of k down
+    for bit in bin(k)[3:]:
+        b = int(bit)
+        R[1 - b], R[b] = add(*R), dbl(*R[b])
+    return (*R[0], a, d)

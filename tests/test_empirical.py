@@ -36,6 +36,7 @@ from oracles import (
     nu_enumerate,
     primes_by_trial_division,
     suyama_point_order,
+    suyama_xz_ladder,
     trial_factor,
     write_root_cache,
 )
@@ -345,6 +346,39 @@ def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
     assert checked > 0.85 * len(cases)  # o1 = 2, 5, 11, ...: a prime power above the exponent's
 
 
+def test_ecm_stage1_matches_a_scalar_ladder():
+    # each lane holds the reference's X, Z and a24 times R = 2^64 mod m exactly
+    rnd = random.Random(41)
+    moduli = [rnd.randrange(2**32, 2**63) | 1 for _ in range(64)]
+    sigmas = [rnd.randrange(6, 2**32) for _ in moduli]
+    mod = empirical._Mont.of(np.array(moduli, dtype=np.uint64))
+    (x, z), a24 = empirical._ecm_stage1(mod, np.array(sigmas, dtype=np.uint64))
+    got = zip(*(w.tolist() for w in (x, z, *a24)))
+    for m, sigma, lane in zip(moduli, sigmas, got):
+        ref = suyama_xz_ladder(sigma, m, empirical._ECM_EXPONENT)
+        assert list(lane) == [w * 2**64 % m for w in ref], (m, sigma)
+
+
+def test_ecm_stage1_runs_three_four_row_products_a_step(monkeypatch):
+    """A count of products that does not depend on the machine: nine set up
+    the curve and six double the start point, then each bit after the top
+    one of _ECM_EXPONENT takes three products on (4, lanes) arrays. Fewer
+    rows pay numpy's per-call cost more often; many more run slower per
+    element (ROADMAP, Notes)."""
+    shapes = collections.Counter()
+    real = empirical._Mont.mul
+
+    def counted(self, a, b):
+        shapes[a.shape] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(empirical._Mont, "mul", counted)
+    m = np.array([2**61 - 1, 2**40 + 15, 2**33 + 9], dtype=np.uint64)
+    empirical._ecm_stage1(empirical._Mont.of(m), np.array([6, 7, 8], dtype=np.uint64))
+    steps = empirical._ECM_EXPONENT.bit_length() - 1
+    assert shapes == {(3,): 15, (4, 3): 3 * steps}
+
+
 def test_inverse_mod_2_64_against_pow():
     # the sieve's exact low word and every Montgomery lane rest on it
     edge = [1, 3, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1]
@@ -377,7 +411,7 @@ def test_pollard_brent_on_a_prime_raises_at_its_cap(monkeypatch):
     with pytest.raises(FactorizationError, match=f"^n=7: no split of cofactor {prime} by"):
         empirical._pollard_brent([prime], [7])
     # on lanes every value stops at _ECM_CAP curves, sigma = 6 to 517: 100
-    # primes take 47 passes of 1,100 lanes or fewer, 4-6 s on a 2-core Xeon
+    # primes take 47 passes of 1,100 lanes or fewer, 4.3-4.6 s on a 2-core Xeon
     batch = [sympy.nextprime(2**40)]
     while len(batch) < empirical._ECM_BATCH_MIN:
         batch.append(sympy.nextprime(batch[-1]))
@@ -1179,6 +1213,24 @@ def test_failed_save_keeps_the_old_cache(tmp_path):
         save_root_table(str(path), RootTable(200, p, r))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["roots.bin"]
+
+
+def test_save_onto_a_directory_raises_and_leaves_it(tmp_path):
+    # os.replace cannot put a file over a non-empty directory: the error
+    # goes out, and the temporary file beside it is removed
+    path = tmp_path / "roots.bin"
+    path.mkdir()
+    (path / "keep").write_bytes(b"x")
+    with pytest.raises(OSError):
+        save_root_table(str(path), build_root_table(100))
+    assert os.listdir(path) == ["keep"] and (path / "keep").read_bytes() == b"x"
+    assert os.listdir(tmp_path) == ["roots.bin"]
+
+
+def test_root_table_equality_with_another_type_is_not_implemented():
+    table = build_root_table(100)
+    assert table.__eq__(object()) is NotImplemented
+    assert table != object() and not table == (table.limit, table.p, table.r)
 
 
 # ---------------------------------------------------------------------------
