@@ -457,10 +457,10 @@ def _ecm_stage1(mod: _Mont, sigma: np.ndarray):
 
     Each ladder step is the _xadd of kP and (k+1)P and the _xdbl of the point
     the bit picks, as three products on (4, lanes) arrays where those two
-    take twelve one-row products: at 1,024 lanes a product's cost is mostly
-    numpy's per call, and from about 15 rows each element costs over twice
-    as much. The add is symmetric in its inputs, so the two points' rows may
-    come in either order: kP is the pair of rows at lo."""
+    take twelve one-row products: at 1,024 lanes a four-row product costs
+    about as much as two or three one-row ones. The add is symmetric in its
+    inputs, so the two points' rows may come in either order: kP is the
+    pair of rows at lo."""
     s = mod.times(mod.one, sigma)
     u = mod.sub(mod.mul(s, s), mod.times(mod.one, 5))
     v = mod.times(s, 4)
