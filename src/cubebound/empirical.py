@@ -152,9 +152,13 @@ _MONT_TOP = 1 << 63  # lanes hold odd moduli below this, so sums of two residues
 # batches hold 7,000-20,000 values; the tests make the small ones, and take
 # 73 s instead of 51 s with every batch on lanes.
 # Composites split by ECM on lanes, several curves per value in each pass
-# (_ecm_lanes), down to the last value: a pass costs about 960 calls of
-# _Mont.mul whatever its lane count, so handing the slow tail to Python ints
-# would pay those passes and the scalar walks too. A split batch under
+# (_ecm_lanes), down to the last value. A pass makes 462 calls of _Mont.mul
+# in stage 1 and 83-198 in stage 2, by its lane count: about 30 ms plus 60
+# us a lane on a 2-core Xeon, so 1,024 lanes are two thirds of it. The
+# values left for the last passes are the hard tail, with the largest
+# smaller factors: Brent's walk took 10-17 ms a value on those open after
+# the fifth pass of the benchmark's windows (24-43 values, 0.25-0.73 s),
+# where the passes that split them took 87-155 ms. A split batch under
 # _ECM_BATCH_MIN takes Brent's walk on Python ints: on 12 samples of the
 # benchmark's composites, 100 values took 84-210 ms on lanes and 246-368 ms
 # on ints, 50 values 77-156 ms and 92-188 ms, 25 values 77-97 ms and 45-104
@@ -441,23 +445,15 @@ def _xdbl(mod: _Mont, p: tuple[np.ndarray, np.ndarray], a24: tuple[np.ndarray, n
     return mod.mul(s, t), mod.mul(e, mod.add(t, mod.mul(e, a24[0])))
 
 
-def _xadd(mod: _Mont, p, q, diff):
-    """P + Q in XZ coordinates from P, Q and P - Q."""
-    u = mod.mul(mod.sub(*p), mod.add(*q))
-    v = mod.mul(mod.add(*p), mod.sub(*q))
-    s, t = mod.add(u, v), mod.sub(u, v)
-    return mod.mul(diff[1], mod.mul(s, s)), mod.mul(diff[0], mod.mul(t, t))
-
-
 def _ecm_stage1(mod: _Mont, sigma: np.ndarray):
     """(Q, a24) on each lane: Suyama's curve of parameter sigma, u = sigma^2 -
     5 and v = 4 sigma, with start point (u^3 : v^3) and (A + 2)/4 =
     (v - u)^3 (3u + v) / (16 u^3 v), kept as a pair so no lane inverts; Q is
     the start point times _ECM_EXPONENT, by one Montgomery ladder.
 
-    Each ladder step is the _xadd of kP and (k+1)P and the _xdbl of the point
-    the bit picks, as three products on (4, lanes) arrays where those two
-    take twelve one-row products: at 1,024 lanes a four-row product costs
+    Each ladder step is the x-only add of kP and (k+1)P and the _xdbl of the
+    point the bit picks, as three products on (4, lanes) arrays where those
+    two take twelve one-row products: at 1,024 lanes a four-row product costs
     about as much as two or three one-row ones. The add is symmetric in its
     inputs, so the two points' rows may come in either order: kP is the
     pair of rows at lo."""
@@ -481,42 +477,114 @@ def _ecm_stage1(mod: _Mont, sigma: np.ndarray):
     return (r[2 * lo], r[2 * lo + 1]), a24
 
 
+_ROW_WORDS = 1 << 14  # a product's operands hold fewer words than this (128 KiB); see _mul_rows
+
+
+def _row_blocks(rows: int, lanes: int) -> int:
+    """The fewest blocks of about equal size, as np.array_split cuts them,
+    that cut rows into blocks of fewer than _ROW_WORDS words at this many
+    lanes (or of one row)."""
+    return -(-rows // max(1, (_ROW_WORDS - 1) // lanes))
+
+
+def _mul_rows(mod: _Mont, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mod.mul(a, b) on (rows, lanes) arrays, b broadcast to a's shape, one
+    call per block of _row_blocks. glibc hands freed temporaries of 128 KiB
+    or more back to the kernel, unmapped or trimmed off the heap, so a
+    product on more words faults each 4 KiB of them back in (ROADMAP, Notes)."""
+    n = _row_blocks(*a.shape)
+    if n == 1:
+        return mod.mul(a, b)
+    blocks = zip(np.array_split(a, n), np.array_split(np.broadcast_to(b, a.shape), n))
+    return np.concatenate([mod.mul(x, y) for x, y in blocks])
+
+
+def _xstep(mod: _Mont, a24, p, q, diff, d) -> np.ndarray:
+    """P + Q from P, Q and P - Q on each row of p, q and diff, then 2P on each
+    row of d: (2, rows, lanes) arrays of X and Z, returned as one such array
+    of the sums, then the doubles, by Montgomery's x-only formulae (_xdbl's
+    for the doubles). The products of all the points are stacked in three
+    rounds of _mul_rows, where one point alone takes six one-row products."""
+    k, l = p.shape[1], d.shape[1]
+    cut = [k, 2 * k, 2 * k + l]
+    hd = (mod.add(*d), mod.sub(*d))
+    u, v, s, t = np.split(_mul_rows(mod, np.concatenate((mod.sub(*p), mod.add(*p), *hd)),
+                                    np.concatenate((mod.add(*q), mod.sub(*q), *hd))), cut)
+    e = mod.sub(s, t)  # 4XZ of each doubled point
+    uv = np.concatenate((mod.add(u, v), mod.sub(u, v)))
+    a = (np.broadcast_to(w, t.shape) for w in a24[::-1])
+    uv, t, ea = np.split(_mul_rows(mod, np.concatenate((uv, t, e)), np.concatenate((uv, *a))),
+                         [2 * k, 2 * k + l])
+    x, z, xd, zd = np.split(_mul_rows(mod, np.concatenate((diff[1], diff[0], s, e)),
+                                      np.concatenate((uv, t, mod.add(t, ea)))), cut)
+    return np.array((np.concatenate((x, xd)), np.concatenate((z, zd))))
+
+
 def _ecm_stage2(mod: _Mont, q, a24) -> np.ndarray:
     """Z of Q times X_G Z_j - X_j Z_G for each pair (i, j) of _ECM_PAIRS, with
     G = i D Q and the baby step jQ, on each lane: a prime p of the lane
     divides it when Q is O mod p or iDQ = +-jQ mod p for some pair.
 
-    X_G Z_j - X_j Z_G = (X_G - X_j)(Z_G + Z_j) - X_G Z_G + X_j Z_j takes one
-    product per pair, on the (pairs, lanes) arrays of one giant step."""
-    q2 = _xdbl(mod, q, a24)
-    odd = [q, _xadd(mod, q2, q, q)]  # jQ for j = 1, 3, 5, ..., D/2
-    while len(odd) <= _ECM_D // 4:
-        odd.append(_xadd(mod, odd[-1], q2, odd[-2]))
-    xb, zb = np.array([x for x, _ in odd]), np.array([z for _, z in odd])
-    xzb = mod.mul(xb, zb)
-    giants = [_xdbl(mod, odd[-1], a24)]  # DQ = 2 (D/2)Q
-    giants.append(_xdbl(mod, giants[0], a24))
-    acc = q[1]
-    for i, js in _ECM_PAIRS:
-        while len(giants) < i:
-            giants.append(_xadd(mod, giants[-1], giants[0], giants[-2]))
-        (x, z), b = giants[i - 1], np.array(js) // 2
-        t = mod.mul(mod.sub(x, xb[b]), mod.add(z, zb[b]))
-        t = np.concatenate((acc[None], mod.add(mod.sub(t, mod.mul(x, z)), xzb[b])))
-        while len(t) > 1:  # the product of the rows, halving them
-            h = len(t) // 2
-            t = np.concatenate((mod.mul(t[:h], t[h : 2 * h]), t[2 * h :]))
-        acc = t[0]
-    return acc
+    Each multiple of Q is a row of one table, and each _xstep adds the rows
+    of one step of every chain: after 2Q, then 3Q and 4Q, then 5Q, 7Q and
+    8Q, the baby steps (odd j up to D/2) run as four chains of stride 8Q,
+    (j + 8)Q from jQ, 8Q and (j - 8)Q, and the giant steps from DQ and 2DQ
+    as two chains of stride 2DQ. X_G Z_j - X_j Z_G = (X_G - X_j)(Z_G + Z_j)
+    - X_G Z_G + X_j Z_j takes one product per pair, on a block of pairs'
+    rows, and one more folds the block into the accumulator."""
+    d, h, top = _ECM_D, _ECM_D // 2, _ECM_PAIRS[-1][0]
+    pairs = [(i * d, j) for i, js in _ECM_PAIRS for j in js]
+    used = sorted({k for pair in pairs for k in pair})  # the rows that take X Z
+    row = {k: r for r, k in enumerate(used + sorted({*range(1, h + 1, 2), 2, 4, 8} - {*used}))}
+    xz = np.empty((2, len(row), mod.m.size), dtype=np.uint64)
+    xz[:, row[1]] = q
+
+    def rows(ks):
+        return xz[:, [row[k] for k in ks]]
+
+    def step(*sums):  # (a + b)Q for each (a, b): from aQ, bQ and |a - b|Q, or as 2aQ if a = b
+        adds, dbls = [(a, b) for a, b in sums if a != b], [a for a, b in sums if a == b]
+        new = _xstep(mod, a24, rows([a for a, _ in adds]), rows([b for _, b in adds]),
+                     rows([abs(a - b) for a, b in adds]), rows(dbls))
+        xz[:, [row[a + b] for a, b in adds] + [row[2 * a] for a in dbls]] = new
+
+    step((1, 1))
+    step((2, 1), (2, 2))
+    step((4, 1), (4, 3), (4, 4))
+    for c in range(1, h - 7, 8):
+        step(*((j, 8) for j in range(c, c + 8, 2) if j + 8 <= h))
+    step((h, h))
+    step((d, d))
+    step((2 * d, d), (2 * d, 2 * d))
+    for i in range(3, top - 1, 2):
+        step(*((k * d, 2 * d) for k in (i, i + 1) if k + 2 <= top))
+    xzu = _mul_rows(mod, *xz[:, : len(used)])
+    gs, bs = np.array([(row[k], row[j]) for k, j in pairs]).T
+    acc, n = None, _row_blocks(len(pairs), mod.m.size)
+    for g, b in zip(np.array_split(gs, n), np.array_split(bs, n)):  # the larger blocks first
+        t = mod.mul(mod.sub(xz[0, g], xz[0, b]), mod.add(xz[1, g], xz[1, b]))
+        t = mod.add(mod.sub(t, xzu[g]), xzu[b])
+        if acc is None:
+            acc = t
+        else:
+            acc[: len(t)] = mod.mul(acc[: len(t)], t)
+    t = np.concatenate((q[1][None], acc))
+    while len(t) > 1:  # the product of the rows, halving them
+        k = len(t) // 2
+        t = np.concatenate((mod.mul(t[:k], t[k : 2 * k]), t[2 * k :]))
+    return t[0]
 
 
 def _ecm_lanes(m: np.ndarray, ns: Sequence[int]) -> list[int]:
     """A proper divisor of each odd composite lane below 2^63, by ECM.
 
     Each pass gives every open value ceil(_ECM_LANES / open) curves, the next
-    sigmas of its sequence, so no pass runs on a few lanes. A lane whose gcd
-    is a proper divisor closes its value; a gcd equal to the whole value is a
-    failed curve. ns as in _cofactor_primes.
+    sigmas of its sequence: what a pass costs before its first lane would
+    pay for about 500 lanes. A lane whose gcd is a proper divisor closes its
+    value; a gcd equal to the whole value is a failed curve. Stage 1's Z
+    gives the first gcd, and stage 2 runs only on the lanes of the values
+    still open: 13-17% fewer lanes over the benchmark's windows. ns as in
+    _cofactor_primes.
 
     A value that has failed _ECM_CAP curves raises FactorizationError. A
     composite lane v = pq in [2^32, 2^63) has p < 2^31.5 and q >= 2^16. One
@@ -528,6 +596,13 @@ def _ecm_lanes(m: np.ndarray, ns: Sequence[int]) -> list[int]:
     which no curve splits, reaches the cap.
     """
     divisors = [0] * m.size
+
+    def close(lane, m, x):  # each value's first proper gcd(x, m) among its lanes
+        g = np.gcd(x, m)
+        hit = (g != 1) & (g != m)
+        for i, d in zip(lane[hit].tolist(), g[hit].tolist()):
+            divisors[i] = divisors[i] or d
+
     open_ = np.arange(m.size)
     tried = 0
     while open_.size:
@@ -538,10 +613,12 @@ def _ecm_lanes(m: np.ndarray, ns: Sequence[int]) -> list[int]:
         lane = np.repeat(open_, per)
         mod = _Mont.of(m[lane])
         sigma = np.tile(np.arange(per, dtype=np.uint64) + np.uint64(_ECM_SIGMA + tried), open_.size)
-        g = np.gcd(_ecm_stage2(mod, *_ecm_stage1(mod, sigma)), mod.m)
-        hit = (g != 1) & (g != mod.m)
-        for i, d in zip(lane[hit].tolist(), g[hit].tolist()):
-            divisors[i] = divisors[i] or d
+        q, a24 = _ecm_stage1(mod, sigma)
+        close(lane, mod.m, q[1])
+        keep = np.array([not divisors[i] for i in lane.tolist()], dtype=bool)
+        if keep.any():
+            mod, q, a24 = mod.take(keep), (q[0][keep], q[1][keep]), (a24[0][keep], a24[1][keep])
+            close(lane[keep], mod.m, _ecm_stage2(mod, q, a24))
         open_ = np.array([i for i in open_.tolist() if not divisors[i]], dtype=np.int64)
         tried += per
     return divisors

@@ -295,33 +295,40 @@ def test_lockstep_whole_modulus_gcd_is_a_failed_curve():
         assert 1 < d < v and v % d == 0 and sympy.isprime(d) and sympy.isprime(v // d)
 
 
-def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
-    """For p, q below 1e5, suyama_point_order gives the order o of each start
-    point by affine arithmetic. Stage 1 finds p exactly when o divides the
+_ECM_EXPONENT = math.lcm(*range(1, empirical._ECM_B1 + 1)) * 101 * 103
+_ECM_PAIRS = [(i, j) for i, js in empirical._ECM_PAIRS for j in js]
+
+
+def _ecm_finds(o):
+    """(stage 1, stages 1 and 2): whether one curve finds a prime p where its
+    start point has order o mod p. Stage 1 finds p exactly when o divides the
     exponent; then stage 1's point Q has order o1 = o / gcd(o, exponent), and
     stage 2 finds p exactly when o1 = 1 or o1 divides some iD +- j of a pair.
-    Each gcd is the product of the primes found. XZ differential addition is
-    undefined where a difference in its chains is O or the 2-torsion point
-    (0, 0), which happens exactly when o1 divides 2k for a chain difference
-    kQ; stage 2 is not checked in those few cases, and they are counted."""
+    XZ differential addition is undefined where a difference in stage 2's
+    chains is O or the 2-torsion point (0, 0), which happens exactly when o1
+    divides 2k for a chain difference kQ; the second is None there."""
+    D, top = empirical._ECM_D, max(i for i, _ in _ECM_PAIRS)
+    # the differences of stage 2's chains: 3Q, 5Q and 7Q from 2Q and 4Q, the
+    # baby steps (j + 8)Q up to D/2, the giant steps (k + 2)DQ from 2DQ
+    chain = list(range(1, D // 2 - 15, 2)) + [D * k for k in range(1, top - 3)]
+    o1 = o // math.gcd(o, _ECM_EXPONENT)
+    if o1 == 1:
+        return True, True
+    if any(2 * k % o1 == 0 for k in chain):
+        return False, None
+    return False, any((i * D - j) % o1 == 0 or (i * D + j) % o1 == 0 for i, j in _ECM_PAIRS)
+
+
+def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
+    """For p, q below 1e5, suyama_point_order gives the order o of each start
+    point by affine arithmetic, and _ecm_finds what each stage finds. Each
+    gcd is the product of the primes found. Stage 2 is not checked where a
+    chain breaks, and those few cases are counted."""
     D = empirical._ECM_D
-    exponent = math.lcm(*range(1, empirical._ECM_B1 + 1)) * 101 * 103
-    assert empirical._ECM_EXPONENT == exponent
-    pairs = [(i, j) for i, js in empirical._ECM_PAIRS for j in js]
+    assert empirical._ECM_EXPONENT == _ECM_EXPONENT
     primes = set(sympy.primerange(D // 2, empirical._ECM_B2 + 1))
-    assert primes <= {i * D + s * j for i, j in pairs for s in (1, -1)}
-    assert all({i * D - j, i * D + j} & primes for i, j in pairs)
-    top = max(i for i, _ in pairs)
-    chain = list(range(1, D // 2 - 2, 2)) + [D * k for k in range(1, top - 1)]
-
-    def finds(o):  # (stage 1, stages 1 and 2), the second None where a chain breaks
-        o1 = o // math.gcd(o, exponent)
-        if o1 == 1:
-            return True, True
-        if any(2 * k % o1 == 0 for k in chain):
-            return False, None
-        return False, any((i * D - j) % o1 == 0 or (i * D + j) % o1 == 0 for i, j in pairs)
-
+    assert primes <= {i * D + s * j for i, j in _ECM_PAIRS for s in (1, -1)}
+    assert all({i * D - j, i * D + j} & primes for i, j in _ECM_PAIRS)
     rnd = random.Random(31)
     cases = []
     while len(cases) < 400:
@@ -329,7 +336,7 @@ def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
         sigma = rnd.randrange(6, 10**6)
         orders = [suyama_point_order(sigma, r) for r in (p, q)]
         if p != q and None not in orders:
-            cases.append((p, q, sigma, finds(orders[0]), finds(orders[1])))
+            cases.append((p, q, sigma, *map(_ecm_finds, orders)))
     kinds = {f for case in cases for f in case[3:]}
     assert kinds == {(True, True), (False, True), (False, False), (False, None)}
     m = np.array([p * q for p, q, *_ in cases], dtype=np.uint64)
@@ -344,6 +351,61 @@ def test_ecm_finds_a_prime_exactly_when_its_curve_order_says():
             assert g2 == (p if fp[1] else 1) * (q if fq[1] else 1), (p, q, sigma)
             checked += 1
     assert checked > 0.85 * len(cases)  # o1 = 2, 5, 11, ...: a prime power above the exponent's
+
+
+def test_ecm_stage2_runs_only_on_the_values_stage1_left_open(monkeypatch):
+    """One curve a value (sigma = 6, one lane each): where the start point's
+    order mod p divides the exponent, stage 1 finds p and closes the value,
+    so stage 2 runs on exactly the lanes of the others, and finds there the
+    one prime _ecm_finds says it finds."""
+    rnd = random.Random(43)
+    by_stage = {1: {}, 2: {}}  # value -> the prime each stage finds
+    while min(map(len, by_stage.values())) < 4:
+        p, q = (sympy.nextprime(rnd.randrange(1000, 10**5)) for _ in range(2))
+        orders = [suyama_point_order(6, r) for r in (p, q)]
+        if p == q or None in orders:
+            continue
+        (p1, p2), (q1, q2) = map(_ecm_finds, orders)
+        if p1 != q1:
+            by_stage[1][p * q] = p if p1 else q
+        elif not p1 and {p2, q2} == {True, False}:
+            by_stage[2][p * q] = p if p2 else q
+    values = [v for pair in zip(*by_stage.values()) for v in pair]
+    lanes = []
+    real = empirical._ecm_stage2
+    monkeypatch.setattr(empirical, "_ecm_stage2",
+                        lambda mod, q, a24: lanes.append(mod.m.tolist()) or real(mod, q, a24))
+    monkeypatch.setattr(empirical, "_ECM_LANES", len(values))
+    found = empirical._ecm_lanes(np.array(values, dtype=np.uint64), values)
+    assert lanes == [[v for v in values if v in by_stage[2]]]
+    assert found == [by_stage[1].get(v) or by_stage[2][v] for v in values]
+
+
+def test_ecm_stage2_takes_few_products_each_under_128_kib(monkeypatch):
+    """A count of products that does not depend on the machine. On 3 lanes
+    each of the 24 chain steps takes three products, one gives X Z of the 38
+    points the pairs use, one the 283 pairs' cross products, and nine halve
+    their 284 rows with Z of Q. At 1,024 and 2,100 lanes no operand reaches
+    2^14 words (128 KiB), where glibc maps each temporary afresh (ROADMAP,
+    Notes): the steps of four chains, the X Z rows and the pairs' rows are
+    cut into blocks of at most 15 or 7 rows, and each block of pairs takes
+    one more product into the accumulator."""
+    shapes = []
+    real = empirical._Mont.mul
+
+    def counted(self, a, b):
+        shapes.append(np.broadcast_shapes(a.shape, b.shape))
+        return real(self, a, b)
+
+    monkeypatch.setattr(empirical._Mont, "mul", counted)
+    rnd = random.Random(47)
+    for lanes, calls in ((3, 83), (1024, 116), (2100, 198)):
+        m = [rnd.randrange(2**32, 2**63) | 1 for _ in range(lanes)]
+        x, z, a, d = (np.array([rnd.randrange(v) for v in m], dtype=np.uint64) for _ in range(4))
+        shapes.clear()
+        empirical._ecm_stage2(empirical._Mont.of(np.array(m, dtype=np.uint64)), (x, z), (a, d))
+        assert len(shapes) == calls, lanes
+        assert max(math.prod(s) for s in shapes) < 2**14, lanes
 
 
 def test_ecm_stage1_matches_a_scalar_ladder():
