@@ -386,10 +386,10 @@ def test_ecm_stage2_takes_few_products_each_under_128_kib(monkeypatch):
     each of the 24 chain steps takes three products, one gives X Z of the 38
     points the pairs use, one the 283 pairs' cross products, and nine halve
     their 284 rows with Z of Q. At 1,024 and 2,100 lanes no operand reaches
-    2^14 words (128 KiB), where glibc maps each temporary afresh (ROADMAP,
-    Notes): the steps of four chains, the X Z rows and the pairs' rows are
-    cut into blocks of at most 15 or 7 rows, and each block of pairs takes
-    one more product into the accumulator."""
+    2^14 words (128 KiB), from where glibc hands freed temporaries back to
+    the kernel and each product faults them in again (ROADMAP, Notes): the
+    products are cut into blocks of at most 15 or 7 rows, and each block of
+    pairs takes one more product into the accumulator."""
     shapes = []
     real = empirical._Mont.mul
 
